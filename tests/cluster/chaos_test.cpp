@@ -17,6 +17,7 @@
 #include "src/cluster/recovery.h"
 #include "src/cluster/router.h"
 #include "src/harness/scenario.h"
+#include "tests/testing/trace_csv.h"
 
 namespace arv::cluster {
 namespace {
@@ -52,15 +53,16 @@ constexpr SimDuration kRunFor = 10 * sec;  // horizon + recovery tail
 
 /// Build the reference fleet, replay a random plan drawn from `chaos_seed`,
 /// optionally verify the invariants, and return the cluster trace CSV.
-/// `threads` sizes the host-phase worker pool — results must not depend on
-/// it, which the soak below pins by replaying every plan at a different
-/// thread count.
-std::string run_chaos(std::uint64_t chaos_seed, bool verify, int threads = 1) {
+/// The trace comes back without its cluster.hosts_skipped column, so runs
+/// with the idle-host skip on and off compare equal — which the soak below
+/// pins by replaying every plan with the skip off.
+std::string run_chaos(std::uint64_t chaos_seed, bool verify,
+                      bool skip_idle_hosts = true) {
   ClusterConfig config;
   config.seed = 42;
   config.enable_tracing = true;
   config.trace_interval = 10 * msec;
-  config.threads = threads;
+  config.skip_idle_hosts = skip_idle_hosts;
   harness::FleetScenario fleet(config);
   for (int i = 0; i < kHosts; ++i) {
     fleet.add_host(small_host());
@@ -173,7 +175,7 @@ std::string run_chaos(std::uint64_t chaos_seed, bool verify, int threads = 1) {
       EXPECT_GT(cluster.restarts() + cluster.failovers(), 0u);
     }
   }
-  return cluster.trace()->to_csv();
+  return arv::testing::without_skip_column(cluster.trace()->to_csv());
 }
 
 TEST(Chaos, InvariantsHoldAndTracesAreByteIdentical) {
@@ -181,15 +183,17 @@ TEST(Chaos, InvariantsHoldAndTracesAreByteIdentical) {
   for (int i = 0; i < iters; ++i) {
     const std::uint64_t seed = 0xc7a05000u + static_cast<std::uint64_t>(i);
     SCOPED_TRACE("chaos seed " + std::to_string(seed));
-    // The first run exercises the parallel host phase; the replay runs
-    // serial. Both verify — the conservation identities must hold at either
-    // thread count — and trace equality pins both the seed-replay contract
-    // and the thread-count-invariance contract under full fault chaos.
-    const std::string first = run_chaos(seed, /*verify=*/true, /*threads=*/4);
-    const std::string second = run_chaos(seed, /*verify=*/true, /*threads=*/1);
+    // The first run skips idle hosts; the replay steps every host. Both
+    // verify — the conservation identities must hold either way — and trace
+    // equality pins both the seed-replay contract and the exactness of the
+    // idle skip under full fault chaos.
+    const std::string first =
+        run_chaos(seed, /*verify=*/true, /*skip_idle_hosts=*/true);
+    const std::string second =
+        run_chaos(seed, /*verify=*/true, /*skip_idle_hosts=*/false);
     ASSERT_EQ(first, second)
         << "same seed + same plan must replay byte-identically, "
-           "whatever the thread count";
+           "with the idle skip on or off";
     ASSERT_FALSE(first.empty());
   }
 }

@@ -1,13 +1,12 @@
-// Parallel determinism battery (`ctest -L parallel`): the cluster's sharded
-// host phase must be invisible in every observable. Fleets — golden and
-// randomized, calm and under fault chaos — are replayed at thread counts
-// 1/2/4/8 and with the idle-host skip on and off; traces must come out
-// byte-identical and every conservation counter equal. Seed coverage scales
-// with ARV_CHAOS_ITERS like the chaos suite.
+// Idle-skip battery (`ctest -L idle_skip`): the cluster's quiescence fast
+// path must be invisible in every observable. Fleets — golden and
+// randomized, calm and under fault chaos — are replayed with the idle-host
+// skip on and off; traces must come out byte-identical apart from the skip
+// counter's own column, and every conservation counter equal. Seed coverage
+// scales with ARV_CHAOS_ITERS like the chaos suite.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,7 +16,7 @@
 #include "src/cluster/router.h"
 #include "src/container/host.h"
 #include "src/harness/scenario.h"
-#include "src/sim/worker_pool.h"
+#include "tests/testing/trace_csv.h"
 
 namespace arv::cluster {
 namespace {
@@ -48,9 +47,9 @@ container::HostConfig small_host() {
 }
 
 /// Everything a run observably produces. Two runs of the same fleet must
-/// compare equal on all of it, whatever the thread count or skip setting.
+/// compare equal on all of it but hosts_skipped, whatever the skip setting.
 struct FleetResult {
-  std::string trace;
+  std::string trace;  ///< without the cluster.hosts_skipped column
   std::uint64_t hosts_skipped = 0;
   std::uint64_t migrations = 0;
   std::uint64_t pod_crashes = 0;
@@ -68,7 +67,6 @@ struct FleetResult {
 
 void expect_equal(const FleetResult& a, const FleetResult& b) {
   EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.hosts_skipped, b.hosts_skipped);
   EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_EQ(a.pod_crashes, b.pod_crashes);
   EXPECT_EQ(a.host_crashes, b.host_crashes);
@@ -84,7 +82,6 @@ void expect_equal(const FleetResult& a, const FleetResult& b) {
 }
 
 struct FleetOptions {
-  int threads = 1;
   bool skip_idle_hosts = true;
   int hosts = 4;
   int busy_hosts = 2;           ///< hosts that receive pods; the rest idle
@@ -99,7 +96,6 @@ FleetResult run_fleet(const FleetOptions& options) {
   config.seed = 42;
   config.enable_tracing = true;
   config.trace_interval = 10 * msec;
-  config.threads = options.threads;
   config.skip_idle_hosts = options.skip_idle_hosts;
   harness::FleetScenario fleet(config);
   for (int i = 0; i < options.hosts; ++i) {
@@ -143,7 +139,7 @@ FleetResult run_fleet(const FleetOptions& options) {
   fleet.run(options.run);
 
   FleetResult result;
-  result.trace = cluster.trace()->to_csv();
+  result.trace = arv::testing::without_skip_column(cluster.trace()->to_csv());
   result.hosts_skipped = cluster.hosts_skipped();
   result.migrations = cluster.migrations();
   result.pod_crashes = cluster.pod_crashes();
@@ -157,8 +153,8 @@ FleetResult run_fleet(const FleetOptions& options) {
   result.unroutable = r.unroutable();
   result.shed = r.shed();
   result.completed = r.aggregate().completed;
-  // Request conservation must hold in every configuration, not only in the
-  // serial one the chaos suite verifies.
+  // Request conservation must hold with the skip on and off, not only in the
+  // default configuration the chaos suite verifies.
   EXPECT_EQ(result.generated,
             result.routed + result.dropped + result.unroutable + result.shed);
   for (int i = 0; i < cluster.host_count(); ++i) {
@@ -167,64 +163,19 @@ FleetResult run_fleet(const FleetOptions& options) {
   return result;
 }
 
-/// Drop one column (by header name) from a trace CSV — used to compare
-/// skip-on vs skip-off runs, whose only legitimate difference is the
-/// cluster.hosts_skipped series itself.
-std::string strip_column(const std::string& csv, const std::string& column) {
-  std::istringstream in(csv);
-  std::string line;
-  std::string out;
-  std::size_t drop = std::string::npos;
-  bool header = true;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string field;
-    std::vector<std::string> row;
-    while (std::getline(fields, field, ',')) {
-      row.push_back(field);
-    }
-    if (header) {
-      for (std::size_t i = 0; i < row.size(); ++i) {
-        if (row[i] == column) {
-          drop = i;
-        }
-      }
-      EXPECT_NE(drop, std::string::npos) << "column not found: " << column;
-      header = false;
-    }
-    std::string joined;
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i == drop) {
-        continue;
-      }
-      if (!joined.empty()) {
-        joined += ',';
-      }
-      joined += row[i];
-    }
-    out += joined;
-    out += '\n';
-  }
-  return out;
-}
-
 // --- the golden sweep -------------------------------------------------------
 
 TEST(ParallelDeterminism, GoldenFleetIsByteIdenticalAcrossThreadCounts) {
   FleetOptions options;
-  options.threads = 1;
+  options.skip_idle_hosts = false;
   const FleetResult reference = run_fleet(options);
   ASSERT_FALSE(reference.trace.empty());
-  for (const int threads : {2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    options.threads = threads;
-    expect_equal(reference, run_fleet(options));
-  }
+  options.skip_idle_hosts = true;
+  expect_equal(reference, run_fleet(options));
 }
 
 TEST(ParallelDeterminism, RandomizedFleetsAndFaultPlansAreThreadInvariant) {
   const int iters = sweep_iterations();
-  const int alt_threads[] = {2, 4, 8};
   for (int i = 0; i < iters; ++i) {
     const std::uint64_t seed = 0x9a7a11e1u + static_cast<std::uint64_t>(i);
     SCOPED_TRACE("sweep seed " + std::to_string(seed));
@@ -234,10 +185,10 @@ TEST(ParallelDeterminism, RandomizedFleetsAndFaultPlansAreThreadInvariant) {
     options.hosts = 3 + static_cast<int>(seed % 5);
     options.busy_hosts = 1 + static_cast<int>(seed % 3);
     options.chaos_seed = seed;
-    options.threads = 1;
-    const FleetResult serial = run_fleet(options);
-    options.threads = alt_threads[i % 3];
-    expect_equal(serial, run_fleet(options));
+    options.skip_idle_hosts = false;
+    const FleetResult reference = run_fleet(options);
+    options.skip_idle_hosts = true;
+    expect_equal(reference, run_fleet(options));
   }
 }
 
@@ -245,7 +196,6 @@ TEST(ParallelDeterminism, RandomizedFleetsAndFaultPlansAreThreadInvariant) {
 
 TEST(ParallelDeterminism, IdleHostSkipIsExact) {
   FleetOptions options;
-  options.threads = 2;
   options.hosts = 12;
   options.busy_hosts = 2;
   options.skip_idle_hosts = true;
@@ -258,12 +208,7 @@ TEST(ParallelDeterminism, IdleHostSkipIsExact) {
   EXPECT_EQ(off.hosts_skipped, 0u);
   // Everything else — including per-host slack series for the frozen hosts
   // — must be identical; only the skip counter's own column may differ.
-  EXPECT_EQ(strip_column(on.trace, "cluster.hosts_skipped"),
-            strip_column(off.trace, "cluster.hosts_skipped"));
-  EXPECT_EQ(on.slack_totals, off.slack_totals);
-  EXPECT_EQ(on.migrations, off.migrations);
-  EXPECT_EQ(on.generated, off.generated);
-  EXPECT_EQ(on.completed, off.completed);
+  expect_equal(on, off);
 }
 
 TEST(ParallelDeterminism, AdvanceIdleMatchesTickByTickExactly) {
@@ -293,9 +238,9 @@ TEST(ParallelDeterminism, AdvanceIdleMatchesTickByTickExactly) {
 /// A serial-phase spy registered *before* the fault injector: at every
 /// component round it demands that each host — through the syncing accessor,
 /// the same single serialization point the fault machinery uses — stands
-/// exactly at cluster time. If the worker pool ever leaked a half-stepped or
-/// lagging host into the serial phases, a crash fired right after this probe
-/// would observe it; this pins that it cannot.
+/// exactly at cluster time. If a frozen host ever reached the serial phases
+/// without catching up, a crash fired right after this probe would observe
+/// it lagging; this pins that it cannot.
 class PhaseProbe final : public sim::TickComponent {
  public:
   explicit PhaseProbe(Cluster& cluster) : cluster_(cluster) {}
@@ -318,12 +263,12 @@ class PhaseProbe final : public sim::TickComponent {
 };
 
 TEST(ParallelDeterminism, FaultsObserveFullySteppedHostsOnly) {
-  auto run = [](int threads) {
+  auto run = [](bool skip_idle_hosts) {
     ClusterConfig config;
     config.seed = 42;
     config.enable_tracing = true;
     config.trace_interval = 10 * msec;
-    config.threads = threads;
+    config.skip_idle_hosts = skip_idle_hosts;
     harness::FleetScenario fleet(config);
     for (int i = 0; i < 4; ++i) {
       fleet.add_host(small_host());
@@ -352,51 +297,15 @@ TEST(ParallelDeterminism, FaultsObserveFullySteppedHostsOnly) {
     EXPECT_TRUE(fleet.injector()->done());
     EXPECT_EQ(cluster.host_crashes(), 1u);
     EXPECT_TRUE(cluster.host_up(1));  // rebooted
-    return cluster.trace()->to_csv();
+    return arv::testing::without_skip_column(cluster.trace()->to_csv());
   };
   // The probe syncs every host every tick; that must not perturb anything
-  // (sync is an exact replay), so the run still matches across threads.
-  const std::string serial = run(1);
-  const std::string parallel = run(4);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_FALSE(serial.empty());
-}
-
-// --- worker pool edges ------------------------------------------------------
-
-TEST(ParallelDeterminism, MoreThreadsThanHosts) {
-  FleetOptions options;
-  options.hosts = 2;
-  options.busy_hosts = 2;
-  options.run = 1 * sec;
-  options.threads = 1;
-  const FleetResult serial = run_fleet(options);
-  options.threads = 8;  // six shards own no hosts at all
-  expect_equal(serial, run_fleet(options));
-}
-
-TEST(ParallelDeterminism, AutoThreadsResolvesAndMatchesSerial) {
-  FleetOptions options;
-  options.hosts = 3;
-  options.run = 1 * sec;
-  options.threads = 1;
-  const FleetResult serial = run_fleet(options);
-  options.threads = 0;  // auto
-  expect_equal(serial, run_fleet(options));
-}
-
-TEST(ParallelDeterminism, WorkerPoolRunsEveryShardAndIsReusable) {
-  sim::WorkerPool pool(4);
-  EXPECT_EQ(pool.threads(), 4);
-  std::vector<int> hits(4, 0);
-  for (int round = 0; round < 100; ++round) {
-    pool.run([&hits](int shard) { ++hits[static_cast<std::size_t>(shard)]; });
-  }
-  for (const int count : hits) {
-    EXPECT_EQ(count, 100);
-  }
-  EXPECT_GE(sim::WorkerPool::default_threads(), 1);
-  EXPECT_LE(sim::WorkerPool::default_threads(), 16);
+  // (sync is an exact replay), so the run still matches the fully stepped
+  // reference.
+  const std::string skipped = run(true);
+  const std::string stepped = run(false);
+  EXPECT_EQ(skipped, stepped);
+  EXPECT_FALSE(skipped.empty());
 }
 
 }  // namespace

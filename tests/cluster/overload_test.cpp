@@ -2,8 +2,8 @@
 // token buckets, the fleet-wide retry budget, adaptive AIMD concurrency
 // limits, brownout degradation (and its SLO partial-weight booking), the
 // config-clamping regressions, the half-open-breaker single-probe pin, and
-// the metastable flash-crowd scenario with byte-identical traces at every
-// thread count.
+// the metastable flash-crowd scenario with byte-identical traces with the
+// idle-host skip on and off.
 #include "src/cluster/overload.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "src/cluster/scheduler.h"
 #include "src/harness/scenario.h"
 #include "src/load/trace_spec.h"
+#include "tests/testing/trace_csv.h"
 
 namespace arv::cluster {
 namespace {
@@ -599,13 +600,13 @@ struct GuardedResult {
 /// Flash crowd (3x offered load) colliding with a host crash at the peak —
 /// the classic metastable trigger — with every overload guard enabled. The
 /// guards must shed strictly by criticality, keep every conservation
-/// identity, and stay byte-identical at any thread count.
-GuardedResult run_metastable(int threads) {
+/// identity, and stay byte-identical with the idle-host skip on or off.
+GuardedResult run_metastable(bool skip_idle_hosts) {
   ClusterConfig config;
   config.seed = 42;
   config.enable_tracing = true;
   config.trace_interval = 50 * msec;
-  config.threads = threads;
+  config.skip_idle_hosts = skip_idle_hosts;
   harness::FleetScenario fleet(config);
   for (int i = 0; i < 4; ++i) {
     fleet.add_host(small_host());
@@ -685,7 +686,8 @@ GuardedResult run_metastable(int threads) {
 
   const AdmissionController& adm = *fleet.admission();
   GuardedResult result;
-  result.trace = fleet.cluster().trace()->to_csv();
+  result.trace =
+      arv::testing::without_skip_column(fleet.cluster().trace()->to_csv());
   std::uint64_t tenant_admitted_sum = 0;
   std::uint64_t tenant_rejected_sum = 0;
   for (const std::string tenant : {"critical", "batch", "besteffort"}) {
@@ -739,21 +741,18 @@ GuardedResult run_metastable(int threads) {
 }
 
 TEST(Overload, MetastableFlashCrowdIsContainedByGuards) {
-  const GuardedResult reference = run_metastable(1);
+  const GuardedResult reference = run_metastable(/*skip_idle_hosts=*/false);
   ASSERT_FALSE(reference.trace.empty());
   ASSERT_GT(reference.generated, 0u);
-  for (const int threads : {2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const GuardedResult other = run_metastable(threads);
-    EXPECT_EQ(reference.trace, other.trace);
-    EXPECT_EQ(reference.generated, other.generated);
-    EXPECT_EQ(reference.admitted, other.admitted);
-    EXPECT_EQ(reference.rejected, other.rejected);
-    EXPECT_EQ(reference.routed, other.routed);
-    EXPECT_EQ(reference.degraded, other.degraded);
-    EXPECT_EQ(reference.crit_availability, other.crit_availability);
-    EXPECT_EQ(reference.be_availability, other.be_availability);
-  }
+  const GuardedResult other = run_metastable(/*skip_idle_hosts=*/true);
+  EXPECT_EQ(reference.trace, other.trace);
+  EXPECT_EQ(reference.generated, other.generated);
+  EXPECT_EQ(reference.admitted, other.admitted);
+  EXPECT_EQ(reference.rejected, other.rejected);
+  EXPECT_EQ(reference.routed, other.routed);
+  EXPECT_EQ(reference.degraded, other.degraded);
+  EXPECT_EQ(reference.crit_availability, other.crit_availability);
+  EXPECT_EQ(reference.be_availability, other.be_availability);
 }
 
 }  // namespace

@@ -207,15 +207,18 @@ TEST_P(Alg1Sweep, EffectiveCpuAlwaysWithinBounds) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, Alg1Sweep,
-    ::testing::Values(CpuSweepParam{1, kUnlimited, 0},
-                      CpuSweepParam{5, kUnlimited, 0},
-                      CpuSweepParam{10, kUnlimited, 2},
-                      CpuSweepParam{2, 400000, 0},
-                      CpuSweepParam{4, 1000000, 8},
-                      CpuSweepParam{8, 50000, 0},
-                      CpuSweepParam{3, 200000, 1}));
+// gtest names each case by the raw bytes of its CpuSweepParam, padding
+// included. A static constexpr table is zero-initialised, so the padding is
+// zero and the case names are the same on every run; temporaries built by
+// ::testing::Values would carry whatever was left on the stack.
+constexpr CpuSweepParam kCpuSweepShapes[] = {
+    {1, kUnlimited, 0}, {5, kUnlimited, 0}, {10, kUnlimited, 2},
+    {2, 400000, 0},     {4, 1000000, 8},    {8, 50000, 0},
+    {3, 200000, 1},
+};
+
+INSTANTIATE_TEST_SUITE_P(Shapes, Alg1Sweep,
+                         ::testing::ValuesIn(kCpuSweepShapes));
 
 // --- Algorithm 2: effective memory -----------------------------------------
 

@@ -12,6 +12,7 @@
 #include "src/harness/scenario.h"
 #include "src/load/driver.h"
 #include "src/load/trace_spec.h"
+#include "tests/testing/trace_csv.h"
 
 namespace arv::load {
 namespace {
@@ -150,13 +151,13 @@ struct EngineResult {
 
 /// The full workload engine — two driven tenants, SLOs, per-tenant HPA, VPA,
 /// cluster autoscaler — must produce byte-identical cluster traces and SLO
-/// renders at any thread count.
-EngineResult run_engine(int threads) {
+/// renders with the idle-host skip on or off.
+EngineResult run_engine(bool skip_idle_hosts) {
   cluster::ClusterConfig config;
   config.seed = 42;
   config.enable_tracing = true;
   config.trace_interval = 50 * msec;
-  config.threads = threads;
+  config.skip_idle_hosts = skip_idle_hosts;
   harness::FleetScenario fleet(config);
   for (int i = 0; i < 6; ++i) {
     fleet.add_host(small_host());
@@ -202,7 +203,8 @@ EngineResult run_engine(int threads) {
   fleet.run(6 * sec);
 
   EngineResult result;
-  result.trace = fleet.cluster().trace()->to_csv();
+  result.trace =
+      arv::testing::without_skip_column(fleet.cluster().trace()->to_csv());
   const vfs::PseudoFs& fs = fleet.cluster().host(0).sysfs().host_fs();
   for (const std::string tenant : {"api", "batch"}) {
     for (const std::string file :
@@ -221,7 +223,7 @@ EngineResult run_engine(int threads) {
                      fleet.tenant_router("batch")->aggregate().completed;
   result.p99 = fleet.slo()->p99_us("api");
   result.availability = fleet.slo()->availability_permille("api");
-  // Conservation per tenant, in every threading configuration.
+  // Conservation per tenant, with the skip on and off.
   for (const std::string tenant : {"api", "batch"}) {
     const cluster::RequestRouter& r = *fleet.tenant_router(tenant);
     EXPECT_EQ(r.generated(),
@@ -232,21 +234,18 @@ EngineResult run_engine(int threads) {
 }
 
 TEST(SloAccountant, EngineIsByteIdenticalAcrossThreadCounts) {
-  const EngineResult reference = run_engine(1);
+  const EngineResult reference = run_engine(/*skip_idle_hosts=*/false);
   ASSERT_FALSE(reference.trace.empty());
   ASSERT_GT(reference.injected, 0u);
   ASSERT_GT(reference.completed, 0u);
-  for (const int threads : {2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const EngineResult other = run_engine(threads);
-    EXPECT_EQ(reference.trace, other.trace);
-    EXPECT_EQ(reference.slo_render, other.slo_render);
-    EXPECT_EQ(reference.injected, other.injected);
-    EXPECT_EQ(reference.generated, other.generated);
-    EXPECT_EQ(reference.completed, other.completed);
-    EXPECT_EQ(reference.p99, other.p99);
-    EXPECT_EQ(reference.availability, other.availability);
-  }
+  const EngineResult other = run_engine(/*skip_idle_hosts=*/true);
+  EXPECT_EQ(reference.trace, other.trace);
+  EXPECT_EQ(reference.slo_render, other.slo_render);
+  EXPECT_EQ(reference.injected, other.injected);
+  EXPECT_EQ(reference.generated, other.generated);
+  EXPECT_EQ(reference.completed, other.completed);
+  EXPECT_EQ(reference.p99, other.p99);
+  EXPECT_EQ(reference.availability, other.availability);
 }
 
 }  // namespace
