@@ -2,12 +2,14 @@
 // fleet grows, with the idle-host skip off and on.
 //
 // The fleet shape is the datacenter-realistic one: work concentrates on a
-// few hosts (12 busy of up to 256) while the rest idle — exactly where the
+// few hosts (12 busy of up to 4096) while the rest idle — exactly where the
 // no-skip engine burns its time stepping hosts that do nothing. Each fleet
 // size runs once with every host stepped (skip off) and once with the
 // quiescence skip on; both must produce identical request counters
 // (asserted), because the skip is a performance feature, never a semantic
-// one.
+// one. Skip-on rows also report wall time relative to the 256-host skip-on
+// row (`wall_vs_256`): with the tick cost proportional to busy hosts, the
+// curve stays flat as idle hosts are added.
 //
 // The scaling curve is spliced into BENCH_cluster.json (override the path
 // with ARV_CLUSTER_OUT) next to cluster_placement's results; re-runs
@@ -36,7 +38,8 @@ using namespace arv::bench;
 constexpr int kHostCpus = 4;
 constexpr int kBusyHosts = 12;  ///< hosts that actually receive pods
 constexpr SimDuration kSim = 3 * units::sec;
-const int kFleetSizes[] = {16, 64, 256};
+const int kFleetSizes[] = {16, 64, 256, 1024, 4096};
+constexpr int kReferenceFleet = 256;  ///< wall_vs_256 divides by this row
 
 struct ScalingPoint {
   int hosts = 0;
@@ -44,6 +47,7 @@ struct ScalingPoint {
   double wall_ms = 0;
   double sim_s_per_wall_s = 0;
   double speedup_vs_stepped = 0;  ///< vs skip off, same fleet
+  double wall_vs_256 = 0;  ///< skip on: wall / the 256-host skip-on wall
   std::uint64_t hosts_skipped = 0;
   std::uint64_t generated = 0;
   std::uint64_t completed = 0;
@@ -142,12 +146,14 @@ void write_json(const std::vector<ScalingPoint>& points) {
   out << head << "\n  \"scaling_curve\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const ScalingPoint& p = points[i];
+    const std::string relative =
+        p.skip ? strf(", \"wall_vs_256\": %.2f", p.wall_vs_256) : "";
     out << strf(
         "    {\"hosts\": %d, \"skip_idle\": %s, "
         "\"wall_ms\": %.1f, \"sim_s_per_wall_s\": %.2f, "
-        "\"speedup_vs_stepped\": %.2f, \"hosts_skipped\": %llu}%s\n",
+        "\"speedup_vs_stepped\": %.2f%s, \"hosts_skipped\": %llu}%s\n",
         p.hosts, p.skip ? "true" : "false", p.wall_ms,
-        p.sim_s_per_wall_s, p.speedup_vs_stepped,
+        p.sim_s_per_wall_s, p.speedup_vs_stepped, relative.c_str(),
         static_cast<unsigned long long>(p.hosts_skipped),
         i + 1 < points.size() ? "," : "");
   }
@@ -180,19 +186,32 @@ int main(int argc, char** argv) {
                    "the idle skip changed simulation results");
     points.push_back(skipped);
   }
+  double reference_wall_ms = 0;
+  for (const ScalingPoint& p : points) {
+    if (p.skip && p.hosts == kReferenceFleet) {
+      reference_wall_ms = p.wall_ms;
+    }
+  }
+  for (ScalingPoint& p : points) {
+    if (p.skip) {
+      p.wall_vs_256 = p.wall_ms / reference_wall_ms;
+    }
+  }
 
   Table table({"hosts", "skip", "wall(ms)", "sim-s/wall-s", "speedup",
-               "skipped"});
+               "vs 256", "skipped"});
   for (const ScalingPoint& p : points) {
     table.add_row({std::to_string(p.hosts), p.skip ? "on" : "off",
                    strf("%.1f", p.wall_ms), strf("%.2f", p.sim_s_per_wall_s),
                    strf("%.2fx", p.speedup_vs_stepped),
+                   p.skip ? strf("%.2fx", p.wall_vs_256) : "-",
                    std::to_string(p.hosts_skipped)});
   }
   std::fputs(table.to_ascii().c_str(), stdout);
   std::printf(
       "expected: speedup grows with fleet size — idle hosts dominate large "
-      "fleets, and the skip reclaims them.\n");
+      "fleets, and the skip reclaims them; skip-on wall time stays near the "
+      "256-host row (vs 256) because a tick costs O(busy hosts).\n");
   write_json(points);
 
   arv::bench::register_case("cluster_scaling/16",

@@ -72,6 +72,7 @@ int Cluster::add_host(container::HostConfig host_config) {
       static_cast<CpuTime>(host_config.cpus) * config_.observe_window;
   hosts_.push_back(std::move(state));
   const int index = static_cast<int>(hosts_.size()) - 1;
+  wake_host(index);
   if (trace_ != nullptr) {
     register_host_trace(index);
   }
@@ -145,21 +146,33 @@ void Cluster::step() {
 
 void Cluster::host_phase() {
   in_host_phase_ = true;
-  for (HostState& state : hosts_) {
+  // Index order; only hosts woken since the last phase sit out of order.
+  if (!std::is_sorted(awake_.begin(), awake_.end())) {
+    std::sort(awake_.begin(), awake_.end());
+  }
+  std::size_t stepped = 0;
+  for (const int index : awake_) {
+    HostState& state = hosts_[static_cast<std::size_t>(index)];
     if (config_.skip_idle_hosts && state.host->quiescent()) {
-      // Freeze: the host's clock stays behind; observe_slack and the trace
-      // account for the gap analytically, sync_host replays it on touch.
-      ++hosts_skipped_;
+      // Freeze: the host's clock stays behind and it leaves the list;
+      // host_slack_total() and the trace account for the gap analytically,
+      // sync_host replays it on touch.
+      state.awake = false;
       continue;
     }
     // A host can only fall behind while quiescent, and quiescence cannot
     // flip off spontaneously — only a serial-phase touch (which syncs) can
-    // end it — so a non-skipped host is always exactly one tick behind.
+    // end it — so a stepped host is always exactly one tick behind.
     ARV_ASSERT_MSG(state.host->now() + config_.tick == now_,
                    "non-quiescent host fell behind the cluster clock");
     state.host->engine().step();
     ARV_ASSERT(state.host->now() == now_);
+    awake_[stepped++] = index;
   }
+  awake_.resize(stepped);
+  // Every host off the list is frozen, and would have been judged
+  // quiescent: exactly the hosts a full walk would have skipped.
+  hosts_skipped_ += hosts_.size() - stepped;
   in_host_phase_ = false;
 }
 
@@ -167,7 +180,29 @@ void Cluster::sync_host(int index) {
   HostState& state = hosts_.at(static_cast<std::size_t>(index));
   if (state.host->now() < now_) {
     state.host->advance_idle(now_);
+    wake_host(index);
   }
+}
+
+void Cluster::wake_host(int index) {
+  // The host phase iterates awake_: host-side code reaching back into the
+  // cluster must die here, not invalidate the loop.
+  ARV_ASSERT_MSG(!in_host_phase_, "hosts are touched in serial phases only");
+  HostState& state = hosts_.at(static_cast<std::size_t>(index));
+  if (!state.awake) {
+    state.awake = true;
+    awake_.push_back(index);
+  }
+}
+
+void Cluster::mark_host_dirty(int index) {
+  fleet_dirty_ = true;
+  HostState& state = hosts_.at(static_cast<std::size_t>(index));
+  if (!state.touched) {
+    state.touched = true;
+    touched_.push_back(index);
+  }
+  wake_host(index);
 }
 
 CpuTime Cluster::host_slack_total(int index) const {
@@ -184,33 +219,31 @@ void Cluster::run_for(SimDuration duration) {
 }
 
 void Cluster::observe_slack() {
-  for (HostState& state : hosts_) {
-    if (state.host->now() < now_) {
-      // Frozen host: the skipped tick's slack is analytic — full capacity
-      // idle. last_total_slack advances in lockstep so the diff stays exact
-      // when the host later syncs (advance_idle adds the same total).
-      const CpuTime tick_slack =
-          static_cast<CpuTime>(state.host->cpus()) * config_.tick;
-      state.accum_slack += tick_slack;
-      state.last_total_slack += tick_slack;
-      continue;
-    }
-    const CpuTime total = state.host->scheduler().total_slack();
-    state.accum_slack += total - state.last_total_slack;
-    state.last_total_slack = total;
-  }
   window_elapsed_ += config_.tick;
-  if (window_elapsed_ >= config_.observe_window) {
-    window_elapsed_ = 0;
-    for (HostState& state : hosts_) {
-      state.window_slack = state.accum_slack;
-      state.accum_slack = 0;
-    }
-    // Every host's slack_millicpu just changed: the next fleet refresh must
-    // re-observe every row, frozen hosts included.
-    window_rolled_ = true;
-    fleet_dirty_ = true;
+  if (window_elapsed_ < config_.observe_window) {
+    return;
   }
+  window_elapsed_ = 0;
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    HostState& state = hosts_[i];
+    // The audit that replaces judging every host every tick: a frozen host
+    // is off the awake list, so if something mutated it behind the
+    // cluster's back (a Host& kept from before it froze) it would never be
+    // stepped again. Catch it within one window.
+    ARV_ASSERT_MSG(state.host->now() == now_ || state.host->quiescent(),
+                   "frozen host is no longer quiescent (mutated without a "
+                   "serial-phase touch)");
+    // host_slack_total() is invariant under advance_idle, so its growth
+    // over the window equals the per-tick sum of scheduler slack, frozen
+    // ticks credited at full capacity.
+    const CpuTime total = host_slack_total(static_cast<int>(i));
+    state.window_slack = total - state.slack_at_roll;
+    state.slack_at_roll = total;
+  }
+  // Every host's slack_millicpu just changed: the next fleet refresh must
+  // re-observe every row, frozen hosts included.
+  full_refresh_ = true;
+  fleet_dirty_ = true;
 }
 
 int Cluster::create_pod(int host_index, PodSpec spec, WorkloadFactory factory) {
@@ -530,9 +563,7 @@ const FleetView& Cluster::fleet_view() {
 
 void Cluster::invalidate_fleet_view() {
   fleet_dirty_ = true;
-  for (HostState& state : hosts_) {
-    ++state.view_gen;
-  }
+  full_refresh_ = true;
 }
 
 void Cluster::attach_profiles(const ProfileStore* profiles) {
@@ -541,93 +572,146 @@ void Cluster::attach_profiles(const ProfileStore* profiles) {
 }
 
 void Cluster::refresh_fleet(bool boundary) {
-  // Rotate buffers so `old` holds the last published content and cur_ holds
-  // recycled allocations to overwrite. Boundary refreshes publish into the
-  // prev_/cur_ pair (diff's per-tick baseline); lazy mid-tick refreshes
-  // recycle scratch_ and leave prev_ untouched.
-  FleetView& old = boundary ? prev_ : scratch_;
-  std::swap(old, cur_);
-  rebuild_fleet(old);
-  if (!cur_.same_content(old)) {
+  if (boundary) {
+    // prev_ becomes cur_ as it stands before this boundary: copy the rows
+    // changed since the last one, or everything once rows were added or
+    // re-filed (the CSR moved).
+    if (reindexed_ || prev_.hosts.size() != cur_.hosts.size() ||
+        prev_.pods.size() != cur_.pods.size() ||
+        prev_.services.size() != cur_.services.size()) {
+      prev_ = cur_;
+    } else {
+      for (const int i : changed_hosts_) {
+        prev_.hosts[static_cast<std::size_t>(i)] =
+            cur_.hosts[static_cast<std::size_t>(i)];
+      }
+      for (const int p : changed_pods_) {
+        prev_.pods[static_cast<std::size_t>(p)] =
+            cur_.pods[static_cast<std::size_t>(p)];
+      }
+      prev_.generation = cur_.generation;
+      prev_.at = cur_.at;
+      prev_.profiles = cur_.profiles;
+    }
+    changed_hosts_.clear();
+    changed_pods_.clear();
+    reindexed_ = false;
+  }
+
+  // A row needs re-observing only when something could have changed it: the
+  // host stepped or was synced this tick (it is then at cluster time), a
+  // mutator or non-const accessor touched it, or everything is stale. A
+  // frozen, untouched host's observables are constant by the quiescence
+  // invariant, so its row — and its pods' rows — stay as they are.
+  const std::size_t host_total = hosts_.size();
+  const bool new_hosts = cur_.hosts.size() != host_total;
+  if (new_hosts) {
+    cur_.hosts.resize(host_total);
+    cur_.rebuild_pod_index();  // a CSR bucket per host
+  }
+  if (full_refresh_ || now_ == 0 || new_hosts) {
+    for (std::size_t i = 0; i < host_total; ++i) {
+      if (!hosts_[i].touched) {
+        hosts_[i].touched = true;
+        touched_.push_back(static_cast<int>(i));
+      }
+    }
+  }
+  bool changed = false;
+  bool reindex = false;
+  refresh_pods_.clear();
+  std::size_t rebuilt_hosts = 0;
+  auto rebuild_host = [&](int i) {
+    const HostView view = host_view(i);
+    HostView& row = cur_.hosts[static_cast<std::size_t>(i)];
+    if (!(row == view)) {
+      row = view;
+      changed = true;
+      changed_hosts_.push_back(i);
+    }
+    ++rebuilt_hosts;
+    // The pods filed under the host in the current CSR. A pod that moved
+    // since was filed under its source, which the move touched.
+    const auto first = cur_.host_pod_ids.begin();
+    refresh_pods_.insert(
+        refresh_pods_.end(),
+        first + cur_.host_pod_offsets[static_cast<std::size_t>(i)],
+        first + cur_.host_pod_offsets[static_cast<std::size_t>(i) + 1]);
+  };
+  for (const int i : touched_) {
+    rebuild_host(i);
+  }
+  for (const int i : awake_) {
+    const HostState& state = hosts_[static_cast<std::size_t>(i)];
+    if (!state.touched && state.host->now() == now_) {
+      rebuild_host(i);
+    }
+  }
+  for (const int i : touched_) {
+    hosts_[static_cast<std::size_t>(i)].touched = false;
+  }
+  touched_.clear();
+
+  // Pods created since the last refresh, then every row in id order so new
+  // services intern in the order a full pass would meet them.
+  for (std::size_t p = cur_.pods.size(); p < pods_.size(); ++p) {
+    refresh_pods_.push_back(static_cast<int>(p));
+  }
+  std::sort(refresh_pods_.begin(), refresh_pods_.end());
+  cur_.pods.resize(pods_.size());
+  for (const int p : refresh_pods_) {
+    const PodRow row = pod_row(pods_[static_cast<std::size_t>(p)]);
+    PodRow& slot = cur_.pods[static_cast<std::size_t>(p)];
+    if (!(slot == row)) {
+      reindex = reindex || slot.host != row.host;
+      slot = row;
+      changed = true;
+      changed_pods_.push_back(p);
+    }
+  }
+  if (reindex) {
+    cur_.rebuild_pod_index();
+    reindexed_ = true;
+  }
+  rows_reused_ += (host_total - rebuilt_hosts) +
+                  (pods_.size() - refresh_pods_.size());
+  if (changed) {
     ++fleet_gen_;
   }
   cur_.generation = fleet_gen_;
   cur_.at = now_;
   cur_.profiles = profiles_;
   fleet_dirty_ = false;
-  window_rolled_ = false;
-  for (HostState& state : hosts_) {
-    state.refreshed_gen = state.view_gen;
-  }
+  full_refresh_ = false;
 }
 
-void Cluster::rebuild_fleet(const FleetView& old) {
-  const std::size_t host_count_sz = hosts_.size();
-  cur_.hosts.resize(host_count_sz);
-  // A host row is re-observed only when something could have changed it:
-  // the host stepped this tick, a mutator (or conservative non-const
-  // accessor) touched it, or the slack window rolled for everyone. A frozen,
-  // untouched host's observables are constant by the quiescence invariant,
-  // so its row — and its pods' rows — are copied from the old snapshot.
-  std::vector<char> rebuilt(host_count_sz, 0);
-  for (std::size_t i = 0; i < host_count_sz; ++i) {
-    const HostState& state = hosts_[i];
-    const bool stepped = state.host->now() == now_;
-    const bool touched = state.view_gen != state.refreshed_gen;
-    if (!stepped && !touched && !window_rolled_ &&
-        i < old.hosts.size()) {
-      cur_.hosts[i] = old.hosts[i];
-      ++rows_reused_;
-    } else {
-      cur_.hosts[i] = host_view(static_cast<int>(i));
-      rebuilt[i] = 1;
-    }
+PodRow Cluster::pod_row(const Pod& pod) {
+  PodRow row;
+  row.id = pod.id;
+  row.host = pod.host;
+  row.service = cur_.intern_service(service_key(pod));
+  row.request_millicpu = pod.spec.resources.request_millicpu;
+  row.request_memory = pod.spec.resources.request_memory;
+  row.running = pod.running();
+  row.in_flight = pod.in_flight();
+  row.failed = pod.failed;
+  row.placed_at = pod.placed_at;
+  if (pod.running()) {
+    // Safe without syncing: committed bytes are constant while frozen.
+    row.committed = hosts_[static_cast<std::size_t>(pod.host)]
+                        .host->memory()
+                        .committed(pod.container->cgroup());
   }
-  cur_.services = old.services;  // keeps copied rows' service indices valid
-  cur_.pods.resize(pods_.size());
-  for (std::size_t p = 0; p < pods_.size(); ++p) {
-    const Pod& pod = pods_[p];
-    const PodRow* before = p < old.pods.size() ? &old.pods[p] : nullptr;
-    const bool new_host_rebuilt =
-        pod.host >= 0 && rebuilt[static_cast<std::size_t>(pod.host)] != 0;
-    const bool old_host_rebuilt =
-        before != nullptr && before->host >= 0 &&
-        before->host < static_cast<int>(host_count_sz) &&
-        rebuilt[static_cast<std::size_t>(before->host)] != 0;
-    if (before != nullptr && before->host == pod.host && !new_host_rebuilt &&
-        !old_host_rebuilt) {
-      cur_.pods[p] = *before;
-      ++rows_reused_;
-      continue;
-    }
-    PodRow row;
-    row.id = pod.id;
-    row.host = pod.host;
-    row.service = cur_.intern_service(service_key(pod));
-    row.request_millicpu = pod.spec.resources.request_millicpu;
-    row.request_memory = pod.spec.resources.request_memory;
-    row.running = pod.running();
-    row.in_flight = pod.in_flight();
-    row.failed = pod.failed;
-    row.placed_at = pod.placed_at;
-    if (pod.running()) {
-      // Safe without syncing: committed bytes are constant while frozen.
-      row.committed = hosts_[static_cast<std::size_t>(pod.host)]
-                          .host->memory()
-                          .committed(pod.container->cgroup());
-    }
-    if (profiles_ != nullptr) {
-      const PodProfile profile = profiles_->profile(pod.id);
-      row.cpu_p50_millicpu = profile.cpu_p50_millicpu;
-      row.cpu_p95_millicpu = profile.cpu_p95_millicpu;
-      row.mem_p50 = profile.mem_p50;
-      row.mem_p95 = profile.mem_p95;
-      row.burst_permille = profile.burst_permille;
-      row.samples = profile.samples;
-    }
-    cur_.pods[p] = row;
+  if (profiles_ != nullptr) {
+    const PodProfile profile = profiles_->profile(pod.id);
+    row.cpu_p50_millicpu = profile.cpu_p50_millicpu;
+    row.cpu_p95_millicpu = profile.cpu_p95_millicpu;
+    row.mem_p50 = profile.mem_p50;
+    row.mem_p95 = profile.mem_p95;
+    row.burst_permille = profile.burst_permille;
+    row.samples = profile.samples;
   }
-  cur_.rebuild_pod_index();
+  return row;
 }
 
 }  // namespace arv::cluster

@@ -1,20 +1,22 @@
 // Cluster — a multi-host fleet on one deterministic clock.
 //
-// N simulated Hosts advance in lockstep. Every cluster tick runs two kinds
-// of phase (see DESIGN.md §11):
+// N simulated Hosts share one clock. Every cluster tick runs two kinds of
+// phase (see DESIGN.md §11):
 //
-//   1. The *host phase*: each host's engine advances one tick, in index
-//      order on the calling thread. Hosts are independent within a tick
-//      (nothing crosses host boundaries until the later phases). Hosts that
-//      are provably quiescent (Host::quiescent) are skipped entirely: their
+//   1. The *host phase*: each awake host's engine advances one tick, in
+//      index order on the calling thread. Hosts are independent within a
+//      tick (nothing crosses host boundaries until the later phases). A host
+//      found provably quiescent (Host::quiescent) leaves the awake list: its
 //      clock freezes and the interval is replayed analytically on first
-//      touch (sync-on-touch).
-//   2. The *serial phases*, in a fixed order: slack window accounting, due
-//      pod migrations, the FleetView snapshot refresh (fleet_view.h — the
-//      one cluster-state object every fleet-wide consumer reads),
-//      cluster-level components (rebalancer, router, fault machinery), and
-//      the trace sample. Every serial stage iterates hosts and pods in index
-//      order.
+//      touch (sync-on-touch), which is also the only way back onto the list.
+//      A tick costs O(awake hosts), not O(fleet).
+//   2. The *serial phases*, in a fixed order: slack window accounting (work
+//      only at a window roll), due pod migrations, the FleetView snapshot
+//      refresh (fleet_view.h — the one cluster-state object every fleet-wide
+//      consumer reads; only rows of hosts stepped or touched are
+//      re-observed), cluster-level components (rebalancer, router, fault
+//      machinery), and the trace sample. Every serial stage that walks hosts
+//      or pods does so in index order.
 //
 // The skip is exact, so the same configuration and seed produce
 // byte-identical cluster traces with the skip on or off, on any machine:
@@ -83,10 +85,11 @@ struct ClusterConfig {
   bool enable_tracing = false;
   SimDuration trace_interval = 100 * units::msec;
   /// Skip hosts whose tick would provably be a no-op (Host::quiescent):
-  /// their clock freezes and catches up analytically on first touch. Exact
-  /// by construction — traces are identical with the skip on or off, apart
-  /// from the cluster.hosts_skipped series; the flag exists so tests and
-  /// bench/cluster_scaling can run the fully stepped reference path.
+  /// they leave the awake list, their clock freezes and catches up
+  /// analytically on first touch. Exact by construction — traces are
+  /// identical with the skip on or off, apart from the cluster.hosts_skipped
+  /// series; the flag exists so tests and bench/cluster_scaling can run the
+  /// fully stepped reference path.
   bool skip_idle_hosts = true;
 };
 
@@ -136,9 +139,10 @@ class Cluster {
   /// Access a host (or its runtime). Syncs a frozen host's clock first
   /// (sync-on-touch), so callers always observe a host at cluster time —
   /// the single serialization point the fault machinery relies on. The
-  /// non-const overloads conservatively mark the host's fleet row stale
-  /// (the caller may mutate anything behind the reference); over-marking
-  /// costs a row rebuild, never a generation bump — see fleet_view().
+  /// non-const overloads conservatively mark the host's fleet row stale and
+  /// wake the host (the caller may mutate anything behind the reference);
+  /// over-marking costs a row rebuild and one quiescence check, never a
+  /// generation bump — see fleet_view().
   container::Host& host(int index) {
     sync_host(index);
     mark_host_dirty(index);
@@ -190,7 +194,7 @@ class Cluster {
   /// stay assigned to the host ledger as failed, awaiting restart-in-place
   /// (if the host reboots) or failover (FailureDetector). Migrations in
   /// flight *to* the host are lost the same way. The host's engine keeps
-  /// ticking (empty) so the fleet stays in lockstep.
+  /// ticking (empty) until it is quiescent, then freezes like any idle host.
   void crash_host(int host_index);
 
   /// Bring a crashed host back as an empty machine (fresh boot: any
@@ -245,12 +249,13 @@ class Cluster {
   /// The shared cluster snapshot (DESIGN.md §13): per-host effective views
   /// plus flattened per-pod rows, assembled in the serial phase and
   /// generation-stamped. Lazily refreshed — if anything mutated the fleet
-  /// since the last refresh, the snapshot is rebuilt first (reusing rows of
-  /// provably-unchanged hosts from the previous snapshot), so the returned
-  /// view is always current. The generation advances only when the *content*
-  /// changed. This is what every fleet-wide consumer (placement, detector,
-  /// autoscalers, router) reads; consumers that place several pods in one
-  /// round copy it and claim() each landing. Serial phases only.
+  /// since the last refresh, the rows that could have changed are
+  /// re-observed in place first (every other row is provably unchanged), so
+  /// the returned view is always current. The generation advances only when
+  /// the *content* changed. This is what every fleet-wide consumer
+  /// (placement, detector, autoscalers, router) reads; consumers that place
+  /// several pods in one round copy it and claim() each landing. Serial
+  /// phases only.
   const FleetView& fleet_view();
 
   /// The snapshot published at the previous tick boundary (what diff renders
@@ -261,8 +266,9 @@ class Cluster {
   /// caching — an idle fleet re-renders nothing).
   vfs::Generation fleet_generation() const { return fleet_gen_; }
 
-  /// Host/pod rows copied from the previous snapshot instead of re-observed,
-  /// cumulative. Not traced: the count varies with the idle-skip setting.
+  /// Host/pod rows a refresh kept instead of re-observing, cumulative (each
+  /// refresh adds every row outside its rebuilt set). Not traced: the count
+  /// varies with the idle-skip setting.
   std::uint64_t fleet_rows_reused() const { return rows_reused_; }
 
   /// Force the next fleet_view() to re-observe every row (profile updates,
@@ -282,8 +288,9 @@ class Cluster {
   const std::vector<HostView>& views() const { return cur_.hosts; }
 
   // --- host phase -----------------------------------------------------------
-  /// Cumulative count of host-ticks skipped by the quiescence fast path.
-  /// Deterministic: a host's skip decision depends only on its own state.
+  /// Cumulative count of host-ticks skipped by the quiescence fast path:
+  /// each tick adds every host the host phase did not step. Deterministic:
+  /// a host's skip decision depends only on its own state.
   std::uint64_t hosts_skipped() const { return hosts_skipped_; }
 
   /// Number of cluster steps taken.
@@ -319,22 +326,20 @@ class Cluster {
     Bytes requested_memory = 0;
     int pods = 0;
     /// False between crash_host and reboot_host. A down host accepts no
-    /// pods; its engine still ticks (empty) to keep the fleet in lockstep.
+    /// pods; its engine still ticks (empty) while it is not quiescent.
     bool up = true;
     /// Administratively unschedulable (see cordon_host). Orthogonal to `up`:
     /// a cordoned host is healthy, so the FailureDetector must not bury it.
     bool cordoned = false;
-    // Slack observation window (integer accumulation; see window_slack()).
+    /// Slack observation window: host_slack_total() at the last roll, and
+    /// its growth over the last completed window (see window_slack()).
+    CpuTime slack_at_roll = 0;
     CpuTime window_slack = 0;
-    CpuTime accum_slack = 0;
-    CpuTime last_total_slack = 0;
-    /// Fleet-row staleness: view_gen bumps on every (potential) mutation of
-    /// this host, refreshed_gen records view_gen at the last row rebuild.
-    /// Unequal (or a host that stepped this tick, or a rolled slack window)
-    /// => the refresh re-observes the row; equal => the row is copied from
-    /// the previous snapshot. Starts unequal so the first refresh builds.
-    std::uint64_t view_gen = 1;
-    std::uint64_t refreshed_gen = 0;
+    /// On awake_: the next host phase judges (steps or freezes) this host.
+    bool awake = false;
+    /// On touched_: mutated (or handed out by reference) since the last
+    /// fleet refresh, so the next refresh re-observes its row and its pods.
+    bool touched = false;
   };
   struct PendingMigration {
     SimTime due = 0;
@@ -347,21 +352,31 @@ class Cluster {
     SimTime last = 0;
   };
 
+  /// Step every awake host; a quiescent one freezes and leaves awake_.
   void host_phase();
-  /// Catch a frozen host's clock up to cluster time (no-op when current).
+  /// Catch a frozen host's clock up to cluster time and wake it (no-op when
+  /// current).
   void sync_host(int index);
-  void mark_host_dirty(int index) {
-    fleet_dirty_ = true;
-    ++hosts_.at(static_cast<std::size_t>(index)).view_gen;
-  }
+  /// Put a host back on awake_, so the next host phase re-judges it.
+  void wake_host(int index);
+  /// Record a (potential) mutation of the host: its fleet row goes stale
+  /// and it is woken.
+  void mark_host_dirty(int index);
+  /// Advance the slack window. Only a roll does work: one pass that credits
+  /// each host's window from host_slack_total() and audits that every
+  /// frozen host is still quiescent.
   void observe_slack();
-  /// Rebuild the fleet snapshot. `boundary` refreshes publish: prev_/cur_
-  /// swap so diff() has a stable per-tick baseline. Mid-tick (lazy)
-  /// refreshes recycle scratch_ and leave prev_ untouched.
+  /// Bring cur_ up to date in place: re-observe the rows of every host
+  /// stepped, synced or touched since the last refresh (every host on a
+  /// window roll, invalidate_fleet_view() or before the clock starts) and
+  /// of the pods filed under them, and bump the generation if any row
+  /// differed. A `boundary` refresh first brings prev_ up to the snapshot
+  /// as it stood, so diff() has a stable per-tick baseline; mid-tick (lazy)
+  /// refreshes leave prev_ untouched.
   void refresh_fleet(bool boundary);
-  /// Assemble cur_ from live state, copying rows of unchanged hosts (and
-  /// their pods) from `old` instead of re-observing them.
-  void rebuild_fleet(const FleetView& old);
+  /// The fleet row of a pod, observed from live state (interns its service
+  /// into cur_).
+  PodRow pod_row(const Pod& pod);
   void settle_migrations();
   void dispatch_components();
   void land_pod(Pod& pod);
@@ -381,16 +396,28 @@ class Cluster {
   bool in_host_phase_ = false;
   std::uint64_t hosts_skipped_ = 0;
   std::uint64_t steps_ = 0;
-  // Fleet snapshot triple-buffer: cur_ is the live snapshot, prev_ the one
-  // published at the previous tick boundary, scratch_ recycles allocations
-  // for mid-tick refreshes. fleet_gen_ is address-stable — the /sys/arv/
-  // fleet/ pseudo-files cache renders on a pointer to it.
+  /// Hosts the next host phase judges. After the phase it holds exactly the
+  /// hosts that stepped; touched or synced hosts are appended (unsorted)
+  /// until the next phase sorts it. Every host at cluster time is on it.
+  std::vector<int> awake_;
+  /// Hosts marked dirty since the last fleet refresh.
+  std::vector<int> touched_;
+  // Fleet snapshot pair: cur_ is the live snapshot, refreshed in place;
+  // prev_ the one published at the previous tick boundary. fleet_gen_ is
+  // address-stable — the /sys/arv/fleet/ pseudo-files cache renders on a
+  // pointer to it.
   FleetView cur_;
   FleetView prev_;
-  FleetView scratch_;
   vfs::Generation fleet_gen_ = 0;
   bool fleet_dirty_ = true;
-  bool window_rolled_ = false;
+  /// The next refresh re-observes every row (window roll, invalidation).
+  bool full_refresh_ = true;
+  /// What prev_ lacks of cur_: rows whose content changed since the last
+  /// boundary, or — after a re-index — everything.
+  std::vector<int> changed_hosts_;
+  std::vector<int> changed_pods_;
+  bool reindexed_ = false;
+  std::vector<int> refresh_pods_;  ///< refresh_fleet's work list, reused
   std::uint64_t rows_reused_ = 0;
   const ProfileStore* profiles_ = nullptr;
   std::vector<HostState> hosts_;

@@ -18,9 +18,10 @@
 //
 // The snapshot is generation-stamped: the generation advances only when the
 // *content* changes, so pseudo-file renders of the view cache on it (the PR 2
-// pattern) and an idle fleet re-renders nothing. Rows for hosts that are
-// provably unchanged (frozen by the quiescence skip, no mutation since the
-// last refresh) are copied from the previous snapshot, not re-observed.
+// pattern) and an idle fleet re-renders nothing. The cluster refreshes the
+// snapshot in place: rows for hosts that are provably unchanged (frozen by
+// the quiescence skip, no mutation since the last refresh) are kept, not
+// re-observed.
 // diff(prev) reports added/removed/moved pods and per-host capacity deltas —
 // the cheap "what changed since your last look" API consumers poll instead of
 // comparing whole snapshots.

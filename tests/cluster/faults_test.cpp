@@ -78,7 +78,8 @@ TEST(Cluster, CrashHostFailsItsPodsAndBlocksPlacement) {
   EXPECT_EQ(cluster.host_crashes(), 1u);
   EXPECT_FALSE(cluster.host_view(0).up);
 
-  // The fleet stays in lockstep: the down host's clock keeps advancing.
+  // The down host stays on the cluster clock (once frozen, it catches up
+  // when touched).
   cluster.run_for(100 * msec);
   EXPECT_EQ(cluster.host(0).now(), cluster.host(1).now());
 

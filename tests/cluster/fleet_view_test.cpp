@@ -2,19 +2,23 @@
 // be invisible in every observable. The same fleet — profile placement, all
 // control loops on — is replayed with the idle-host skip on and off and must
 // produce byte-identical traces (bar the skip counter's own column) *and*
-// byte-identical /sys/arv/fleet/ renders; the incremental row-copy refresh
-// must equal a forced full re-observe; the generation must advance only on
-// content change so pseudo-file renders cache; and a serial-phase probe pins
-// that components always read a snapshot standing at cluster time.
+// byte-identical /sys/arv/fleet/ renders; the incremental dirty-row refresh
+// must equal a forced full re-observe and the fully stepped twin tick by
+// tick; the generation must advance only on content change so pseudo-file
+// renders cache; and a serial-phase probe pins that components always read a
+// snapshot standing at cluster time.
 #include "src/cluster/fleet_view.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/cluster/autoscale.h"
 #include "src/cluster/cluster.h"
+#include "src/cluster/faults.h"
 #include "src/cluster/pod_workloads.h"
 #include "src/cluster/profile.h"
 #include "src/cluster/router.h"
@@ -189,6 +193,36 @@ TEST(FleetViewGeneration, RowsAreReusedForQuiescentHosts) {
   // Three of four hosts never receive work; their rows must have been copied
   // forward, not re-observed, on (nearly) every refresh.
   EXPECT_GT(cluster.fleet_rows_reused(), 0u);
+}
+
+TEST(FleetViewGeneration, RowsReusedCountsEveryRowOutsideTheRebuiltSet) {
+  Cluster cluster;  // skip on, 100 ms window
+  for (int i = 0; i < 4; ++i) {
+    cluster.add_host(small_host());
+  }
+  cluster.create_pod(0, {"hog-0", res(500, 512 * MiB)},
+                     cpu_hog_workload(1, 60 * sec));
+  cluster.run_for(150 * msec);  // h1..h3 frozen, mid-window
+  auto reused_by_step = [&cluster] {
+    const std::uint64_t before = cluster.fleet_rows_reused();
+    cluster.step();
+    return cluster.fleet_rows_reused() - before;
+  };
+  // Only h0 stepped: its row and its pod's are re-observed.
+  EXPECT_EQ(reused_by_step(), 3u);
+  // A new pod re-observes its host (touched, now stepping) and is built;
+  // the frozen hosts' rows stay.
+  const int pod = cluster.create_pod(1, {"hog-1", res(500, 512 * MiB)},
+                                     cpu_hog_workload(1, 60 * sec));
+  EXPECT_EQ(reused_by_step(), 2u);
+  // Stopping it touches h1: both pods are filed under rebuilt hosts.
+  cluster.stop_pod(pod);
+  EXPECT_EQ(reused_by_step(), 2u);
+  // A window roll re-observes every host and every placed pod; only the
+  // stopped pod's row is kept.
+  cluster.run_for(200 * msec - cluster.now() - 1 * msec);
+  EXPECT_EQ(reused_by_step(), 1u);
+  EXPECT_EQ(cluster.now(), 200 * msec);
 }
 
 TEST(FleetViewFiles, RenderAndCacheOnTheGeneration) {
@@ -386,6 +420,192 @@ TEST(FleetViewDeterminism, ChaosFleetsAreThreadInvariant) {
     EXPECT_EQ(stepped.generation, skipped.generation);
     EXPECT_EQ(stepped.migrations, skipped.migrations);
   }
+}
+
+// --- incremental refresh vs the fully stepped twin --------------------------
+
+enum class TwinFleet { kChaos, kAutoscale, kProfile };
+
+/// One of the twin fleets: every fleet parks idle hosts for the skip to
+/// freeze, and every one churns pods — faults and failover, autoscaler scale
+/// up/down with the CA (un)cordoning parked hosts, or profile placement with
+/// profile rounds invalidating the snapshot.
+std::unique_ptr<harness::FleetScenario> build_twin(TwinFleet kind,
+                                                   bool skip_idle_hosts) {
+  ClusterConfig config;
+  config.seed = 42;
+  config.skip_idle_hosts = skip_idle_hosts;
+  auto fleet = std::make_unique<harness::FleetScenario>(config);
+  const int hosts = 6;
+  for (int i = 0; i < hosts; ++i) {
+    fleet->add_host(small_host());
+  }
+  Cluster& cluster = fleet->cluster();
+  server::WebConfig web;
+  web.service_cpu = 6 * msec;
+  web.max_queue = 100;
+  switch (kind) {
+    case TwinFleet::kChaos: {
+      fleet->enable_router(300.0);
+      DetectorConfig detector;
+      detector.period = 100 * msec;
+      detector.miss_threshold = 2;
+      fleet->enable_recovery(detector);
+      RebalanceConfig rebalance;
+      rebalance.period = 250 * msec;
+      fleet->enable_rebalancer(rebalance);
+      for (int h = 0; h < 2; ++h) {
+        const int pod = cluster.create_pod(
+            h, {"web-" + std::to_string(h), res(1000, 1 * GiB)},
+            web_replica(web));
+        EXPECT_TRUE(fleet->router()->add_replica(pod));
+      }
+      cluster.create_pod(0, {"hog", res(500, 512 * MiB)},
+                         cpu_hog_workload(1, 60 * sec));
+      Rng chaos_rng(0xf1ee7u);
+      ChaosOptions chaos;
+      chaos.horizon = 1 * sec;
+      fleet->enable_faults(
+          FaultPlan::random(chaos_rng, chaos, hosts, cluster.pod_count()));
+      break;
+    }
+    case TwinFleet::kAutoscale: {
+      for (int h = 3; h < hosts; ++h) {
+        cluster.cordon_host(h, true);  // parked for the CA to grow into
+      }
+      RouterConfig router;
+      router.arrivals_per_sec = 1500;
+      router.max_retries = 2;
+      fleet->enable_router(router);
+      fleet->enable_recovery();
+      PodSpec replica;
+      replica.name = "web";
+      replica.resources = res(1000, 1 * GiB);
+      replica.cpu_mode = CpuMode::kBurstable;
+      HpaConfig hpa;
+      hpa.period = 250 * msec;
+      hpa.min_replicas = 2;
+      hpa.max_replicas = 6;
+      hpa.request_cpu = 6 * msec;
+      hpa.up_stabilization = 250 * msec;
+      hpa.down_stabilization = 1 * sec;
+      fleet->enable_hpa(replica, web, hpa);
+      for (int h = 0; h < 2; ++h) {
+        PodSpec seed = replica;
+        seed.name = "web-seed-" + std::to_string(h);
+        const int pod = cluster.create_pod(h, seed, web_replica(web));
+        EXPECT_TRUE(fleet->router()->add_replica(pod));
+        fleet->hpa()->adopt(pod);
+      }
+      VpaConfig vpa;
+      vpa.period = 100 * msec;
+      vpa.window_rounds = 10;
+      vpa.recommend_every = 5;
+      fleet->enable_vpa(vpa);
+      CaConfig ca;
+      ca.period = 500 * msec;
+      ca.min_hosts = 1;
+      ca.band_rounds = 2;
+      ca.cooldown = 500 * msec;
+      fleet->enable_cluster_autoscaler(ca);
+      break;
+    }
+    case TwinFleet::kProfile: {
+      fleet->enable_router(250.0);
+      fleet->enable_recovery();
+      RebalanceConfig rebalance;
+      rebalance.period = 250 * msec;
+      fleet->enable_rebalancer(rebalance);
+      ProfileConfig profiles;
+      profiles.period = 50 * msec;
+      profiles.window_rounds = 16;
+      profiles.min_samples = 4;
+      fleet->enable_profiles(profiles);
+      fleet->use_placement("profile");
+      for (int i = 0; i < 2; ++i) {
+        EXPECT_GE(fleet->place_web_pod(res(1000, 1 * GiB), web), 0);
+      }
+      EXPECT_GE(fleet->place_pod(res(500, 512 * MiB),
+                                 cpu_hog_workload(1, 60 * sec)),
+                0);
+      break;
+    }
+  }
+  return fleet;
+}
+
+/// Steps a skip-on fleet and its fully stepped twin side by side. After
+/// every step the incrementally refreshed snapshot, the previous-boundary
+/// snapshot and the diff file must match the twin's (whose every refresh
+/// re-observes every row), and the previous-boundary snapshot must be what
+/// fleet_view() returned at the end of the tick before. Every 50 ticks a
+/// forced full re-observe of the same cluster must change nothing. At tick
+/// 700 both twins migrate a pod, so every fleet re-files rows at least once.
+void expect_twins_agree(TwinFleet kind) {
+  const auto on = build_twin(kind, true);
+  const auto off = build_twin(kind, false);
+  Cluster& a = on->cluster();
+  Cluster& b = off->cluster();
+  const vfs::PseudoFs& fs_a = a.host(0).sysfs().host_fs();
+  const vfs::PseudoFs& fs_b = b.host(0).sysfs().host_fs();
+  FleetView seen_a = a.fleet_view();
+  b.fleet_view();
+  for (int tick = 1; tick <= 2000; ++tick) {
+    SCOPED_TRACE("tick " + std::to_string(tick));
+    if (tick == 700) {
+      // A migration on top of the fleet's own churn: the first running pod
+      // moves to the last up host that does not hold it.
+      int pod = 0;
+      while (!a.pod(pod).running()) {
+        ++pod;
+      }
+      int target = a.host_count() - 1;
+      while (!a.host_up(target) || target == a.pod(pod).host) {
+        --target;
+      }
+      a.migrate_pod(pod, target);
+      b.migrate_pod(pod, target);
+    }
+    a.step();
+    b.step();
+    const FleetView& prev_a = a.previous_fleet_view();
+    ASSERT_TRUE(prev_a.same_content(seen_a));
+    ASSERT_EQ(prev_a.generation, seen_a.generation);
+    ASSERT_TRUE(prev_a.same_content(b.previous_fleet_view()));
+    const FleetView& view_a = a.fleet_view();
+    const FleetView& view_b = b.fleet_view();
+    ASSERT_TRUE(view_a.same_content(view_b));
+    ASSERT_EQ(view_a.generation, view_b.generation);
+    ASSERT_EQ(fs_a.read("/sys/arv/fleet/diff"),
+              fs_b.read("/sys/arv/fleet/diff"));
+    if (tick % 50 == 0) {
+      for (Cluster* cluster : {&a, &b}) {
+        const FleetView incremental = cluster->fleet_view();
+        const vfs::Generation generation = cluster->fleet_generation();
+        cluster->invalidate_fleet_view();
+        ASSERT_TRUE(cluster->fleet_view().same_content(incremental));
+        ASSERT_EQ(cluster->fleet_generation(), generation);
+      }
+    }
+    seen_a = a.fleet_view();
+  }
+  EXPECT_GT(a.fleet_generation(), 10u);
+  EXPECT_EQ(a.migrations(), 1u);
+  EXPECT_GT(a.hosts_skipped(), 0u);
+  EXPECT_EQ(b.hosts_skipped(), 0u);
+  EXPECT_GT(a.fleet_rows_reused(), b.fleet_rows_reused());
+}
+
+TEST(FleetViewIncremental, ChaosFleetMatchesTheSteppedTwin) {
+  expect_twins_agree(TwinFleet::kChaos);
+}
+
+TEST(FleetViewIncremental, AutoscaledFleetMatchesTheSteppedTwin) {
+  expect_twins_agree(TwinFleet::kAutoscale);
+}
+
+TEST(FleetViewIncremental, ProfiledFleetMatchesTheSteppedTwin) {
+  expect_twins_agree(TwinFleet::kProfile);
 }
 
 // --- serial-phase contract ----------------------------------------------------

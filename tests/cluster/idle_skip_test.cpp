@@ -2,11 +2,16 @@
 // path must be invisible in every observable. Fleets — golden and
 // randomized, calm and under fault chaos — are replayed with the idle-host
 // skip on and off; traces must come out byte-identical apart from the skip
-// counter's own column, and every conservation counter equal. Seed coverage
-// scales with ARV_CHAOS_ITERS like the chaos suite.
+// counter's own column, and every conservation counter equal. Each wake
+// path (a serial-phase touch of a frozen host) must get the host re-judged
+// on the next tick, and the window-roll audit must kill a run whose frozen
+// host was mutated behind the cluster's back. Seed coverage scales with
+// ARV_CHAOS_ITERS like the chaos suite.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -306,6 +311,178 @@ TEST(ParallelDeterminism, FaultsObserveFullySteppedHostsOnly) {
   const std::string stepped = run(false);
   EXPECT_EQ(skipped, stepped);
   EXPECT_FALSE(skipped.empty());
+}
+
+// --- the awake list: wake paths and the roll-time audit ---------------------
+
+/// One cluster of the wake-path twins: h0 and h1 run CPU hogs, h2 and h3 are
+/// parked. `hosts` holds pointers taken before the first step, so reading
+/// them later never syncs or wakes anything.
+struct WakeFleet {
+  explicit WakeFleet(bool skip_idle_hosts) {
+    ClusterConfig config;
+    config.seed = 42;
+    config.skip_idle_hosts = skip_idle_hosts;
+    cluster = std::make_unique<Cluster>(config);
+    for (int i = 0; i < 4; ++i) {
+      cluster->add_host(small_host());
+    }
+    for (int i = 0; i < 4; ++i) {
+      hosts.push_back(&cluster->host(i));
+    }
+    for (int h = 0; h < 2; ++h) {
+      cluster->create_pod(h, {"hog-" + std::to_string(h), res(500, 512 * MiB)},
+                          cpu_hog_workload(1, 60 * sec));
+    }
+  }
+
+  int quiescent_hosts() const {
+    int quiescent = 0;
+    for (const container::Host* host : hosts) {
+      quiescent += host->quiescent() ? 1 : 0;
+    }
+    return quiescent;
+  }
+  bool frozen(int index) const {
+    return hosts[static_cast<std::size_t>(index)]->now() < cluster->now();
+  }
+
+  std::unique_ptr<Cluster> cluster;
+  std::vector<container::Host*> hosts;
+};
+
+/// Lets the parked hosts freeze, then steps a skip-on and a fully stepped
+/// twin side by side for 300 ticks (three slack windows), calling
+/// `touch(cluster, tick)` on both before every step. Each tick the skip-on
+/// twin must skip exactly the hosts the stepped twin finds quiescent going
+/// into it — the hosts a walk over the whole fleet would skip — so a touched
+/// host is re-judged on the very next tick. Returns the skip-on twin.
+std::unique_ptr<WakeFleet> expect_rejudged(
+    const std::function<void(Cluster&, int)>& touch) {
+  auto on = std::make_unique<WakeFleet>(true);
+  WakeFleet off(false);
+  on->cluster->run_for(50 * msec);
+  off.cluster->run_for(50 * msec);
+  EXPECT_TRUE(on->frozen(2) && on->frozen(3)) << "parked hosts must freeze";
+  for (int tick = 0; tick < 300; ++tick) {
+    touch(*on->cluster, tick);
+    touch(*off.cluster, tick);
+    const int expected = off.quiescent_hosts();
+    const std::uint64_t before = on->cluster->hosts_skipped();
+    on->cluster->step();
+    off.cluster->step();
+    EXPECT_EQ(on->cluster->hosts_skipped() - before,
+              static_cast<std::uint64_t>(expected))
+        << "tick " << tick;
+  }
+  EXPECT_EQ(off.cluster->hosts_skipped(), 0u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(on->cluster->window_slack(i), off.cluster->window_slack(i))
+        << "host " << i;
+    EXPECT_EQ(on->cluster->host_slack_total(i),
+              off.cluster->host_slack_total(i))
+        << "host " << i;
+  }
+  EXPECT_TRUE(
+      on->cluster->fleet_view().same_content(off.cluster->fleet_view()));
+  return on;
+}
+
+TEST(IdleSkipWake, HostAccessorWakesAParkedHost) {
+  const auto fleet = expect_rejudged([](Cluster& cluster, int tick) {
+    if (tick == 0 || tick == 150) {
+      // A stalled monitor is not quiescent: h2 must step until unstalled.
+      cluster.host(2).monitor().set_stalled(tick == 0);
+    }
+  });
+  EXPECT_TRUE(fleet->frozen(2));  // quiescent again after the unstall
+}
+
+TEST(IdleSkipWake, RuntimeAccessorWakesAParkedHost) {
+  const auto fleet = expect_rejudged([](Cluster& cluster, int tick) {
+    if (tick == 0) {
+      // A container with a registered view keeps the host awake.
+      cluster.runtime(2).run(
+          container::pod_container("raw", res(500, 256 * MiB)));
+    }
+  });
+  EXPECT_FALSE(fleet->frozen(2));
+}
+
+TEST(IdleSkipWake, CordonReJudgesButLeavesAQuiescentHostFrozen) {
+  const auto fleet = expect_rejudged([](Cluster& cluster, int tick) {
+    if (tick == 0 || tick == 120) {
+      cluster.cordon_host(3, tick == 0);
+    }
+  });
+  EXPECT_TRUE(fleet->frozen(3));
+  EXPECT_FALSE(fleet->cluster->host_cordoned(3));
+}
+
+TEST(IdleSkipWake, CreatePodWakesAParkedHost) {
+  const auto fleet = expect_rejudged([](Cluster& cluster, int tick) {
+    if (tick == 0) {
+      cluster.create_pod(2, {"late", res(500, 512 * MiB)},
+                         cpu_hog_workload(1, 60 * sec));
+    }
+  });
+  EXPECT_FALSE(fleet->frozen(2));
+}
+
+TEST(IdleSkipWake, MigrationLandingWakesTheTarget) {
+  const auto fleet = expect_rejudged([](Cluster& cluster, int tick) {
+    if (tick == 0) {
+      cluster.migrate_pod(0, 3);
+    }
+  });
+  EXPECT_TRUE(fleet->cluster->pod(0).running());
+  EXPECT_EQ(fleet->cluster->pod(0).host, 3);
+  EXPECT_FALSE(fleet->frozen(3));
+}
+
+TEST(IdleSkipWake, CrashAndRebootReJudgeTheHost) {
+  const auto fleet = expect_rejudged([](Cluster& cluster, int tick) {
+    if (tick == 0) {
+      cluster.crash_host(1);
+    } else if (tick == 100) {
+      cluster.reboot_host(1);
+    } else if (tick == 200) {
+      cluster.restart_pod(1);
+    }
+  });
+  EXPECT_TRUE(fleet->cluster->host_up(1));
+  EXPECT_TRUE(fleet->cluster->pod(1).running());
+  EXPECT_FALSE(fleet->frozen(1));
+}
+
+TEST(IdleSkipWake, FailoverWakesTheTarget) {
+  const auto fleet = expect_rejudged([](Cluster& cluster, int tick) {
+    if (tick == 0) {
+      cluster.crash_host(1);
+    } else if (tick == 50) {
+      cluster.failover_pod(1, 2);
+    }
+  });
+  EXPECT_EQ(fleet->cluster->pod(1).host, 2);
+  EXPECT_TRUE(fleet->cluster->pod(1).running());
+  EXPECT_FALSE(fleet->frozen(2));
+}
+
+TEST(IdleSkipDeathTest, RollAuditCatchesAHostMutatedWhileFrozen) {
+  EXPECT_DEATH(
+      {
+        ClusterConfig config;
+        Cluster cluster(config);
+        cluster.add_host(small_host());
+        cluster.add_host(small_host());
+        container::Host& held = cluster.host(1);
+        cluster.run_for(10 * msec);  // h1 is quiescent: it freezes
+        // A stimulus behind the cluster's back: no sync, no wake. Only the
+        // audit at the next window roll can see it.
+        held.engine().schedule_after(1 * sec, [] {});
+        cluster.run_for(config.observe_window);
+      },
+      "frozen host is no longer quiescent");
 }
 
 }  // namespace
