@@ -16,15 +16,32 @@ using namespace arv;
 using namespace arv::bench;
 
 struct OverheadFixture {
-  explicit OverheadFixture(int containers) : host(paper_host()), runtime(host) {
+  /// `mixed`: shares spanning 2..65536, overlapping 6-CPU cpuset windows, a
+  /// 1.5-CPU quota on every third container and 1-5 threads each, so the
+  /// scheduler's water-fill needs several rounds per tick.
+  explicit OverheadFixture(int containers, bool mixed = false)
+      : host(paper_host()), runtime(host) {
+    static constexpr std::int64_t kShares[] = {2, 256, 1024, 4096, 65536};
+    const int cpus = host.scheduler().online_cpus();
     for (int i = 0; i < containers; ++i) {
       container::ContainerConfig config;
       config.name = "c" + std::to_string(i);
       config.mem_limit = 4 * GiB;
       config.mem_soft_limit = 2 * GiB;
+      int threads = 2;
+      if (mixed) {
+        config.cpu_shares = kShares[i % 5];
+        for (int k = 0; k < 6; ++k) {
+          config.cpuset.set((i * 3 + k) % cpus);
+        }
+        if (i % 3 == 0) {
+          config.cfs_quota_us = 150'000;
+        }
+        threads = 1 + i % 5;
+      }
       containers_.push_back(&runtime.run(config));
       hogs.push_back(std::make_unique<workloads::CpuHog>(
-          host, *containers_.back(), 2, 36000 * sec));
+          host, *containers_.back(), threads, 36000 * sec));
     }
     host.run_for(100 * msec);  // warm up usage counters
   }
@@ -116,7 +133,18 @@ void BM_SchedulerTick(benchmark::State& state) {
   }
   state.counters["containers"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_SchedulerTick)->Arg(1)->Arg(5)->Arg(20);
+BENCHMARK(BM_SchedulerTick)->Arg(1)->Arg(5)->Arg(20)->Arg(100)->Arg(1000);
+
+/// The same tick with mixed shares, overlapping cpusets and quotas: the
+/// multi-round water-fill path.
+void BM_SchedulerTickMixed(benchmark::State& state) {
+  OverheadFixture fixture(static_cast<int>(state.range(0)), /*mixed=*/true);
+  for (auto _ : state) {
+    fixture.host.engine().step();
+  }
+  state.counters["containers"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_SchedulerTickMixed)->Arg(20)->Arg(100)->Arg(1000);
 
 }  // namespace
 

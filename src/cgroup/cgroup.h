@@ -141,6 +141,13 @@ class Tree {
   /// so per-event bound refreshes don't cost O(containers) each.
   std::int64_t total_shares() const { return total_shares_; }
 
+  /// Bumped by every event that can change a cgroup's effective CPU inputs
+  /// (kCreated, kDestroyed, kCpuChanged; not kMemChanged). CpuConfig only
+  /// changes through this class's setters, so a consumer that caches
+  /// effective_cpuset/effective_bandwidth/shares and re-reads them when the
+  /// generation moves is exact.
+  std::uint64_t cpu_generation() const { return cpu_generation_; }
+
  private:
   Cgroup& get_mutable(CgroupId id);
   void notify(EventKind kind, CgroupId id, const std::string& name);
@@ -150,6 +157,7 @@ class Tree {
   std::vector<std::unique_ptr<Cgroup>> slots_;  // index == id; null when destroyed
   std::vector<Listener> listeners_;
   std::int64_t total_shares_ = 0;  // Σ cpu.shares over live non-root cgroups
+  std::uint64_t cpu_generation_ = 1;
 };
 
 }  // namespace arv::cgroup

@@ -49,9 +49,26 @@ bool FairScheduler::attached(cgroup::CgroupId id) const {
   return it != entities_.end() && !it->second.consumers.empty();
 }
 
-void FairScheduler::refill_quota(cgroup::CgroupId id, Entity& entity, SimTime now) {
+void FairScheduler::refresh_inputs(cgroup::CgroupId id, Entity& entity) {
+  const std::uint64_t generation = tree_.cpu_generation();
+  if (entity.inputs_generation == generation) {
+    return;
+  }
+  entity.inputs_generation = generation;
+  entity.alive = tree_.exists(id);
+  if (!entity.alive) {
+    return;
+  }
+  entity.mask = tree_.effective_cpuset(id);
+  ARV_ASSERT_MSG(!entity.mask.empty(), "effective cpuset must be non-empty");
+  entity.mask_count = entity.mask.count();
+  entity.shares = tree_.get(id).cpu().shares;
   // Nested cgroups inherit the tightest bandwidth cap along their path.
-  const auto bandwidth = tree_.effective_bandwidth(id);
+  entity.bandwidth = tree_.effective_bandwidth(id);
+}
+
+void FairScheduler::refill_quota(Entity& entity, SimTime now) {
+  const auto& bandwidth = entity.bandwidth;
   if (bandwidth.quota_us == kUnlimited) {
     entity.quota_remaining = kUnlimited;
     return;
@@ -65,26 +82,15 @@ void FairScheduler::refill_quota(cgroup::CgroupId id, Entity& entity, SimTime no
 }
 
 void FairScheduler::tick(SimTime now, SimDuration dt) {
-  struct Claim {
-    cgroup::CgroupId id = -1;
-    Entity* entity = nullptr;
-    CpuSet mask;
-    double weight = 0.0;
-    double demand = 0.0;  // us of CPU time wanted this tick (post caps)
-    double alloc = 0.0;
-    double throttled = 0.0;  // demand clipped by quota
-    int runnable = 0;
-  };
-
-  std::vector<Claim> claims;
-  claims.reserve(entities_.size());
+  claims_.clear();
   int runnable_total = 0;
 
   for (auto& [id, entity] : entities_) {
-    if (!tree_.exists(id)) {
+    refresh_inputs(id, entity);
+    if (!entity.alive) {
       continue;  // cgroup destroyed with consumers still attached
     }
-    refill_quota(id, entity, now);
+    refill_quota(entity, now);
     entity.stats.last_tick_grant = 0;
     int runnable = 0;
     for (const Schedulable* consumer : entity.consumers) {
@@ -95,99 +101,41 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
     }
     runnable_total += runnable;
 
-    Claim claim;
-    claim.id = id;
-    claim.entity = &entity;
-    claim.mask = tree_.effective_cpuset(id);
-    ARV_ASSERT_MSG(!claim.mask.empty(), "effective cpuset must be non-empty");
-    claim.weight = static_cast<double>(tree_.get(id).cpu().shares);
-    claim.runnable = runnable;
-
     const double thread_cap =
-        static_cast<double>(std::min(runnable, claim.mask.count())) *
+        static_cast<double>(std::min(runnable, entity.mask_count)) *
         static_cast<double>(dt);
     double quota_cap = thread_cap;
     if (entity.quota_remaining != kUnlimited) {
       quota_cap = std::min(thread_cap, static_cast<double>(entity.quota_remaining));
     }
-    claim.demand = quota_cap;
-    claim.throttled = thread_cap - quota_cap;
-    claims.push_back(claim);
+    claims_.push_back(Claim{.entity = &entity,
+                            .mask = entity.mask,
+                            .shares = entity.shares,
+                            .demand = quota_cap,
+                            .throttled = thread_cap - quota_cap,
+                            .runnable = runnable});
   }
 
   nr_running_ = runnable_total;
   loadavg_.add(static_cast<double>(runnable_total));
 
-  // --- per-CPU weighted water-filling --------------------------------------
-  std::vector<double> cpu_capacity(static_cast<std::size_t>(online_cpus_),
-                                   static_cast<double>(dt));
-  for (int round = 0; round < kMaxRounds; ++round) {
-    double progress = 0.0;
-    for (int cpu = 0; cpu < online_cpus_; ++cpu) {
-      double& capacity = cpu_capacity[static_cast<std::size_t>(cpu)];
-      if (capacity <= kEpsilonUs) {
-        continue;
-      }
-      double weight_sum = 0.0;
-      for (const Claim& claim : claims) {
-        if (claim.demand - claim.alloc > kEpsilonUs && claim.mask.contains(cpu)) {
-          weight_sum += claim.weight;
-        }
-      }
-      if (weight_sum <= 0.0) {
-        continue;
-      }
-      const double available = capacity;
-      double used = 0.0;
-      for (Claim& claim : claims) {
-        const double unmet = claim.demand - claim.alloc;
-        if (unmet <= kEpsilonUs || !claim.mask.contains(cpu)) {
-          continue;
-        }
-        const double offer = available * claim.weight / weight_sum;
-        const double take = std::min(offer, unmet);
-        claim.alloc += take;
-        used += take;
-      }
-      capacity -= used;
-      progress += used;
-    }
-    if (progress <= kEpsilonUs) {
-      break;
-    }
-  }
+  water_fill(dt);
 
   // --- accounting + delivery -----------------------------------------------
   CpuTime granted_total = 0;
-  for (Claim& claim : claims) {
-    const double credited = claim.alloc + claim.entity->fraction_carry;
-    const auto grant = static_cast<CpuTime>(credited);  // floor
-    claim.entity->fraction_carry = credited - static_cast<double>(grant);
-    granted_total += grant;
+  for (const Claim& claim : claims_) {
     Entity& entity = *claim.entity;
+    const double credited = claim.alloc + entity.fraction_carry;
+    const auto grant = static_cast<CpuTime>(credited);  // floor
+    entity.fraction_carry = credited - static_cast<double>(grant);
+    granted_total += grant;
     entity.stats.total_usage += grant;
     entity.stats.last_tick_grant = grant;
     entity.stats.throttled_time += static_cast<CpuTime>(std::llround(claim.throttled));
     if (entity.quota_remaining != kUnlimited) {
       entity.quota_remaining = std::max<CpuTime>(0, entity.quota_remaining - grant);
     }
-
-    // Split the grant across consumers proportionally to runnable threads,
-    // remainder to the first hungry consumer (deterministic).
-    CpuTime left = grant;
-    const auto consumers = entity.consumers;  // copy: consume() may detach
-    for (std::size_t k = 0; k < consumers.size(); ++k) {
-      const int threads = consumers[k]->runnable_threads();
-      if (threads <= 0) {
-        continue;
-      }
-      CpuTime piece = k + 1 == consumers.size()
-                          ? left
-                          : grant * threads / std::max(1, claim.runnable);
-      piece = std::min(piece, left);
-      left -= piece;
-      consumers[k]->consume(now, dt, piece);
-    }
+    deliver(entity, claim.runnable, grant, now, dt);
   }
 
   const CpuTime capacity_total = static_cast<CpuTime>(online_cpus_) * dt;
@@ -195,10 +143,114 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
   // under-granted ticks, so the per-tick bound has that much slack; the
   // cumulative bound (tested separately) stays exact.
   ARV_ASSERT_MSG(granted_total <=
-                     capacity_total + static_cast<CpuTime>(claims.size()) + 1,
+                     capacity_total + static_cast<CpuTime>(claims_.size()) + 1,
                  "allocated more CPU time than physically exists");
   last_tick_slack_ = std::max<CpuTime>(0, capacity_total - granted_total);
   total_slack_ += last_tick_slack_;
+}
+
+void FairScheduler::add_weight(const Claim& claim, std::int64_t delta) {
+  for (int cpu = 0; cpu < online_cpus_; ++cpu) {
+    if (claim.mask.contains(cpu)) {
+      cpu_weight_[static_cast<std::size_t>(cpu)] += delta;
+    }
+  }
+}
+
+// Per-CPU weighted water-filling. Each CPU pass offers the CPU's remaining
+// capacity to the hungry claims that may run there, in proportion to shares
+// over the pass's starting weight sum. That sum is kept incrementally: shares
+// are integers, so an int64 sum is exact in any order and equals the double
+// sum a full rescan would produce while it stays below 2^53 (with the
+// kernel's shares range [2, 262144], below 2^35 claims). `used` is summed in
+// claim order and `alloc` in CPU order, exactly as a rescan would.
+void FairScheduler::water_fill(SimDuration dt) {
+  const auto cpus = static_cast<std::size_t>(online_cpus_);
+  cpu_capacity_.assign(cpus, static_cast<double>(dt));
+  cpu_weight_.assign(cpus, 0);
+  hungry_.clear();
+  for (std::size_t index = 0; index < claims_.size(); ++index) {
+    const Claim& claim = claims_[index];
+    if (claim.demand <= kEpsilonUs) {
+      continue;
+    }
+    hungry_.push_back(index);
+    add_weight(claim, claim.shares);
+  }
+
+  for (int round = 0; round < kMaxRounds && !hungry_.empty(); ++round) {
+    double progress = 0.0;
+    for (int cpu = 0; cpu < online_cpus_; ++cpu) {
+      double& capacity = cpu_capacity_[static_cast<std::size_t>(cpu)];
+      if (capacity <= kEpsilonUs) {
+        continue;
+      }
+      const std::int64_t weight_sum = cpu_weight_[static_cast<std::size_t>(cpu)];
+      if (weight_sum <= 0) {
+        continue;
+      }
+      const double available = capacity;
+      const auto weight_sum_d = static_cast<double>(weight_sum);
+      double used = 0.0;
+      // The offer depends only on the claim's shares within a pass.
+      std::int64_t memo_shares = 0;
+      double memo_offer = 0.0;
+      std::size_t kept = 0;
+      for (std::size_t h = 0; h < hungry_.size(); ++h) {
+        const std::size_t index = hungry_[h];
+        Claim& claim = claims_[index];
+        if (claim.mask.contains(cpu)) {
+          if (claim.shares != memo_shares) {
+            memo_shares = claim.shares;
+            memo_offer = available * static_cast<double>(claim.shares) / weight_sum_d;
+          }
+          const double take = std::min(memo_offer, claim.demand - claim.alloc);
+          claim.alloc += take;
+          used += take;
+          if (claim.demand - claim.alloc <= kEpsilonUs) {
+            add_weight(claim, -claim.shares);  // satisfied: leaves every CPU's sum
+            continue;
+          }
+        }
+        hungry_[kept++] = index;
+      }
+      hungry_.resize(kept);
+      capacity -= used;
+      progress += used;
+    }
+    if (progress <= kEpsilonUs) {
+      break;
+    }
+  }
+}
+
+// Split the grant across consumers proportionally to runnable threads,
+// remainder to the last consumer (deterministic).
+void FairScheduler::deliver(Entity& entity, int runnable, CpuTime grant,
+                            SimTime now, SimDuration dt) {
+  if (entity.consumers.size() == 1) {
+    Schedulable* only = entity.consumers.front();
+    if (only->runnable_threads() > 0) {
+      only->consume(now, dt, grant);
+    }
+    return;
+  }
+  // Snapshot: consume() may detach.
+  consumer_snapshot_.assign(entity.consumers.begin(), entity.consumers.end());
+  CpuTime left = grant;
+  for (std::size_t k = 0; k < consumer_snapshot_.size(); ++k) {
+    Schedulable* consumer = consumer_snapshot_[k];
+    const int threads = consumer->runnable_threads();
+    if (threads <= 0) {
+      continue;
+    }
+    CpuTime piece = k + 1 == consumer_snapshot_.size()
+                        ? left
+                        : grant * threads / std::max(1, runnable);
+    piece = std::min(piece, left);
+    left -= piece;
+    consumer->consume(now, dt, piece);
+  }
 }
 
 bool FairScheduler::idle() const {

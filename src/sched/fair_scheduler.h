@@ -16,8 +16,18 @@
 // This reproduces exactly the observables Algorithms 1–2 of the paper read:
 // per-container usage, system-wide slack (pslack), throttling, and the
 // work-conserving "use more than your share when others are idle" behaviour.
+//
+// A tick does only the work that can change between ticks. Each cgroup's
+// effective cpuset, bandwidth and shares are cached and re-read only when
+// cgroup::Tree::cpu_generation() moves. The water-fill keeps one exact int64
+// weight sum per CPU over the hungry claims (a claim leaves the sums once, when
+// satisfied) and walks a compacted hungry list, so each CPU pass is a single
+// pass; the floating-point operations and their order are those of a full
+// rescan, so results are bit-identical to it (tests/sched/water_fill_oracle_test
+// steps both in lockstep). Per-tick buffers are reused members.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -126,9 +136,34 @@ class FairScheduler : public sim::TickComponent {
     /// CFS's minimum-granularity slices, fluid-model style.
     double fraction_carry = 0.0;
     EntityStats stats;
+
+    // Cgroup inputs cached as of Tree::cpu_generation() == inputs_generation
+    // (0: never read); refresh_inputs() re-reads them when it moves.
+    std::uint64_t inputs_generation = 0;
+    bool alive = false;
+    int mask_count = 0;
+    std::int64_t shares = 0;
+    CpuSet mask;
+    cgroup::Tree::Bandwidth bandwidth;
   };
 
-  void refill_quota(cgroup::CgroupId id, Entity& entity, SimTime now);
+  /// One runnable cgroup's share of the current tick.
+  struct Claim {
+    Entity* entity = nullptr;
+    CpuSet mask;
+    std::int64_t shares = 0;
+    double demand = 0.0;  // us of CPU time wanted this tick (post caps)
+    double alloc = 0.0;
+    double throttled = 0.0;  // demand clipped by quota
+    int runnable = 0;
+  };
+
+  void refresh_inputs(cgroup::CgroupId id, Entity& entity);
+  void refill_quota(Entity& entity, SimTime now);
+  void water_fill(SimDuration dt);
+  void add_weight(const Claim& claim, std::int64_t delta);
+  void deliver(Entity& entity, int runnable, CpuTime grant, SimTime now,
+               SimDuration dt);
 
   cgroup::Tree& tree_;
   int online_cpus_;
@@ -140,6 +175,15 @@ class FairScheduler : public sim::TickComponent {
   /// to a ~14 s time constant at 1 ms ticks). The slow window is what makes
   /// libgomp's `n_onln - loadavg` heuristic collapse under sustained load.
   Ema loadavg_{0.99993};
+
+  // Per-tick scratch, reused so a tick allocates nothing once warm.
+  std::vector<Claim> claims_;
+  std::vector<double> cpu_capacity_;
+  /// Σ shares of hungry claims (unmet demand) that may run on each CPU.
+  std::vector<std::int64_t> cpu_weight_;
+  /// Indices into claims_ of the hungry claims, in claim order.
+  std::vector<std::size_t> hungry_;
+  std::vector<Schedulable*> consumer_snapshot_;
 };
 
 }  // namespace arv::sched

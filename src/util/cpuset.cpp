@@ -80,13 +80,6 @@ void CpuSet::clear(int cpu) {
   bits_.reset(static_cast<std::size_t>(cpu));
 }
 
-bool CpuSet::contains(int cpu) const {
-  if (cpu < 0 || cpu >= kMaxCpus) {
-    return false;
-  }
-  return bits_.test(static_cast<std::size_t>(cpu));
-}
-
 int CpuSet::span() const {
   for (int i = kMaxCpus - 1; i >= 0; --i) {
     if (bits_.test(static_cast<std::size_t>(i))) {

@@ -302,16 +302,17 @@ TEST_P(SchedulerSweep, ConservationAndBounds) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, SchedulerSweep,
-    ::testing::Values(SweepParam{1, 1, 1, kUnlimited},
-                      SweepParam{4, 2, 8, kUnlimited},
-                      SweepParam{20, 5, 10, kUnlimited},
-                      SweepParam{20, 10, 2, kUnlimited},
-                      SweepParam{8, 3, 4, 200000},
-                      SweepParam{16, 4, 16, 400000},
-                      SweepParam{2, 6, 3, 50000},
-                      SweepParam{32, 8, 8, kUnlimited}));
+// gtest names each case by the raw bytes of its SweepParam, padding included.
+// A static constexpr table is zero-initialised, so the padding is zero and the
+// case names are the same on every run; temporaries built by
+// ::testing::Values would carry whatever was left on the stack.
+constexpr SweepParam kSweepShapes[] = {
+    {1, 1, 1, kUnlimited},  {4, 2, 8, kUnlimited},  {20, 5, 10, kUnlimited},
+    {20, 10, 2, kUnlimited}, {8, 3, 4, 200000},     {16, 4, 16, 400000},
+    {2, 6, 3, 50000},       {32, 8, 8, kUnlimited},
+};
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SchedulerSweep, ::testing::ValuesIn(kSweepShapes));
 
 }  // namespace
 }  // namespace arv::sched

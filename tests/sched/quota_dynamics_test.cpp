@@ -165,5 +165,100 @@ TEST(SchedDynamics, ZeroThreadConsumerCoexistsWithBusyOne) {
   EXPECT_EQ(busy.total(), 2 * 100 * msec);
 }
 
+TEST(SchedDynamics, ParentCpusetNarrowedBindsChildOnNextTick) {
+  Fixture f(8);
+  const auto pod = f.tree.create("pod");
+  const auto child = f.tree.create("container", pod);
+  FakeConsumer cc(8);
+  f.sched.attach(child, &cc);
+  f.engine.run_for(10 * msec);
+  EXPECT_EQ(f.sched.stats(child).last_tick_grant, 8 * msec);
+  f.tree.set_cpuset(pod, CpuSet::first_n(3));
+  f.engine.step();
+  EXPECT_EQ(f.sched.stats(child).last_tick_grant, 3 * msec);
+  EXPECT_EQ(cc.last(), 3 * msec);
+  f.tree.set_cpuset(pod, CpuSet{});  // back to all CPUs
+  f.engine.step();
+  EXPECT_EQ(f.sched.stats(child).last_tick_grant, 8 * msec);
+}
+
+TEST(SchedDynamics, ParentQuotaSetBindsChildOnNextTick) {
+  Fixture f(8);
+  const auto pod = f.tree.create("pod");
+  const auto child = f.tree.create("container", pod);
+  FakeConsumer cc(8);
+  f.sched.attach(child, &cc);
+  f.engine.run_for(10 * msec);
+  const CpuTime throttled_before = f.sched.throttled_time(child);
+  EXPECT_EQ(throttled_before, 0);
+  // 2.5 ms per 100 ms period: the first tick spends all of it, the next
+  // tick is fully throttled.
+  f.tree.set_cfs_quota(pod, 2500);
+  f.engine.step();
+  EXPECT_EQ(f.sched.stats(child).last_tick_grant, 2500);
+  EXPECT_EQ(f.sched.throttled_time(child), 8 * msec - 2500);
+  f.engine.step();
+  EXPECT_EQ(f.sched.stats(child).last_tick_grant, 0);
+  EXPECT_EQ(f.sched.throttled_time(child), 2 * 8 * msec - 2500);
+}
+
+/// Detaches `victim` (itself or a peer) from `id` inside its first consume().
+class DetachingConsumer : public FakeConsumer {
+ public:
+  DetachingConsumer(int threads, FairScheduler& sched, cgroup::CgroupId id)
+      : FakeConsumer(threads), sched_(sched), id_(id) {}
+
+  void set_victim(Schedulable* victim) { victim_ = victim; }
+
+  void consume(SimTime now, SimDuration dt, CpuTime grant) override {
+    FakeConsumer::consume(now, dt, grant);
+    if (victim_ != nullptr) {
+      sched_.detach(id_, victim_);
+      victim_ = nullptr;
+    }
+  }
+
+ private:
+  FairScheduler& sched_;
+  cgroup::CgroupId id_;
+  Schedulable* victim_ = nullptr;
+};
+
+TEST(SchedDynamics, SingleConsumerDetachingItselfInConsume) {
+  Fixture f(4);
+  const auto a = f.tree.create("a");
+  DetachingConsumer self(2, f.sched, a);
+  self.set_victim(&self);
+  f.sched.attach(a, &self);
+  f.engine.step();
+  EXPECT_EQ(self.total(), 2 * msec);
+  EXPECT_FALSE(f.sched.attached(a));
+  f.engine.run_for(10 * msec);
+  EXPECT_EQ(self.consume_calls(), 1);
+  EXPECT_EQ(f.sched.total_usage(a), 2 * msec);
+  EXPECT_EQ(f.sched.stats(a).last_tick_grant, 0);
+}
+
+TEST(SchedDynamics, ConsumerDetachingPeerInConsumeKeepsTickSnapshot) {
+  Fixture f(8);
+  const auto a = f.tree.create("a");
+  DetachingConsumer first(2, f.sched, a);
+  FakeConsumer peer(2);
+  first.set_victim(&peer);
+  f.sched.attach(a, &first);
+  f.sched.attach(a, &peer);
+  // The tick's consumer list is a snapshot: the peer still receives its
+  // piece of the tick in which it was detached, and nothing afterwards.
+  f.engine.step();
+  EXPECT_EQ(first.total(), 2 * msec);
+  EXPECT_EQ(peer.total(), 2 * msec);
+  EXPECT_TRUE(f.sched.attached(a));
+  f.engine.run_for(10 * msec);
+  EXPECT_EQ(first.total(), 11 * 2 * msec);
+  EXPECT_EQ(peer.total(), 2 * msec);
+  EXPECT_EQ(peer.consume_calls(), 1);
+  EXPECT_EQ(f.sched.total_usage(a), 4 * msec + 10 * 2 * msec);
+}
+
 }  // namespace
 }  // namespace arv::sched
