@@ -75,6 +75,7 @@ CgroupId Tree::find(const std::string& name, CgroupId parent) const {
 
 void Tree::set_cpu_shares(CgroupId id, std::int64_t shares) {
   ARV_ASSERT_MSG(shares >= 2, "kernel clamps cpu.shares to >= 2");
+  shares = std::min(shares, kMaxCpuShares);
   if (id != kRootCgroup) {
     total_shares_ += shares - get(id).cpu().shares;
   }

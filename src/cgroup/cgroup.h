@@ -23,6 +23,9 @@ namespace arv::cgroup {
 using CgroupId = std::int32_t;
 inline constexpr CgroupId kRootCgroup = 0;
 
+/// Largest cpu.shares the kernel keeps (MAX_SHARES); larger writes clamp.
+inline constexpr std::int64_t kMaxCpuShares = 262144;
+
 /// CPU-controller configuration (cpu + cpuset controllers combined).
 struct CpuConfig {
   /// cpu.shares — relative weight among siblings. Kernel default is 1024.
@@ -106,6 +109,8 @@ class Tree {
   CgroupId find(const std::string& name, CgroupId parent = kRootCgroup) const;
 
   // --- knobs; each setter validates and fires kCpuChanged/kMemChanged ---
+  /// Shares below 2 are a caller error; above kMaxCpuShares they clamp, as
+  /// the kernel does, which also keeps every shares sum far from overflow.
   void set_cpu_shares(CgroupId id, std::int64_t shares);
   void set_cfs_quota(CgroupId id, std::int64_t quota_us);
   void set_cfs_period(CgroupId id, SimDuration period_us);

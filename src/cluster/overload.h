@@ -43,7 +43,7 @@
 //      partial budget weight.
 //
 // Determinism: the controller mutates only inside serial phases — its own
-// tick() and the routers' route_one() calls (driver injection and router
+// tick() and the routers' inject_batch() calls (driver injection and router
 // ticks are serial-phase components). All arithmetic is integer (token
 // buckets in milli-tokens with exact scaled refill), so cluster traces stay
 // byte-identical run to run. Telemetry surfaces as admission.* /

@@ -81,17 +81,9 @@ void RequestRouter::attach_admission(AdmissionController* admission, int slot) {
   admission_slot_ = slot;
 }
 
-int RequestRouter::live_replicas() const {
-  const FleetView& fleet = cluster_.fleet_view();
-  int live = 0;
-  for (const Replica& replica : replicas_) {
-    if (replica.pod < fleet.pod_count() &&
-        fleet.pods[static_cast<std::size_t>(replica.pod)].running &&
-        sink(replica.pod) != nullptr) {
-      ++live;
-    }
-  }
-  return live;
+int RequestRouter::live_replicas() {
+  resolve_live();
+  return static_cast<int>(live_.size());
 }
 
 server::WorkerPoolServer* RequestRouter::sink(int pod_id) const {
@@ -155,104 +147,109 @@ void RequestRouter::record_failure(Replica& replica, SimTime now) {
   }
 }
 
-void RequestRouter::route_one(SimTime now, CpuTime cost) {
-  ++generated_;
-  // Front-door admission (overload.h): criticality-class shedding and the
-  // tenant's token bucket run before any replica is considered, so rejected
-  // requests cost nothing downstream.
-  if (admission_ != nullptr && !admission_->admit(admission_slot_, now)) {
-    ++rejected_;
-    return;
-  }
-  ++admitted_;
+void RequestRouter::resolve_live() {
   // Live = the shared fleet snapshot shows the replica running AND its sink
-  // exists right now (not stopped, crashed, or frozen mid-migration);
-  // admitted = live and its breaker lets this attempt pass. The snapshot is
-  // lazily fresh, so a replica that stopped earlier this round is already
-  // out of rotation here — the router and the control loops act on the same
-  // view of the fleet.
+  // exists right now (not stopped, crashed, or frozen mid-migration). The
+  // snapshot is lazily fresh, so a replica that stopped earlier this round
+  // is already out of rotation here — the router and the control loops act
+  // on the same view of the fleet.
   const FleetView& fleet = cluster_.fleet_view();
-  bool any_live = false;
-  candidates_.clear();
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const int pod = replicas_[i].pod;
-    if (pod >= fleet.pod_count() ||
-        !fleet.pods[static_cast<std::size_t>(pod)].running ||
-        sink(pod) == nullptr) {
+  live_.clear();
+  for (Replica& replica : replicas_) {
+    if (replica.pod >= fleet.pod_count() ||
+        !fleet.pods[static_cast<std::size_t>(replica.pod)].running) {
       continue;
     }
-    any_live = true;
-    if (admits(replicas_[i], now)) {
-      candidates_.push_back(i);
+    if (server::WorkerPoolServer* s = sink(replica.pod)) {
+      live_.push_back({&replica, s, s->queue_depth(), false});
     }
   }
-  if (!any_live) {
-    ++unroutable_;  // the fleet has no replica at all
-    return;
-  }
-  if (candidates_.empty()) {
-    ++shed_;  // replicas exist but every breaker is open: protect them
-    return;
-  }
-  // Brownout is sampled once per request: the whole request is served
-  // degraded or not, however many attempts it takes.
-  const bool degraded = admission_ != nullptr && admission_->brownout();
-  // Bounded retry: attempt the JSQ-best candidate, then the next-best on a
-  // refused injection, never re-trying a replica within one request. Every
-  // retry beyond the first attempt draws on the fleet-wide retry budget, so
-  // a failover cannot multiply offered load into a retry storm.
-  const int max_attempts = 1 + config_.max_retries;
-  for (int attempt = 0; attempt < max_attempts && !candidates_.empty();
-       ++attempt) {
-    if (attempt > 0 && admission_ != nullptr && !admission_->allow_retry()) {
-      break;  // budget exhausted: give up instead of amplifying
-    }
-    std::size_t best_pos = 0;
-    std::size_t best_depth = 0;
-    for (std::size_t pos = 0; pos < candidates_.size(); ++pos) {
-      const std::size_t depth = sink(replicas_[candidates_[pos]].pod)->queue_depth();
-      if (pos == 0 || depth < best_depth) {
-        best_pos = pos;
-        best_depth = depth;
-      }
-    }
-    Replica& replica = replicas_[candidates_[best_pos]];
-    ++attempts_;
-    if (attempt > 0) {
-      ++retries_;
-    }
-    if (sink(replica.pod)->inject_request(now, cost, degraded)) {
-      record_success(replica);
-      ++routed_;
-      if (degraded) {
-        ++degraded_;
-      }
-      if (admission_ != nullptr) {
-        admission_->on_success();
-      }
-      return;
-    }
-    record_failure(replica, now);
-    candidates_.erase(candidates_.begin() +
-                      static_cast<std::ptrdiff_t>(best_pos));
-  }
-  ++dropped_;  // every allowed attempt was refused (or the budget ran dry)
 }
 
 void RequestRouter::inject_batch(SimTime now, const CpuTime* costs,
                                  std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    route_one(now, costs[i]);
+  bool resolved = false;
+  const int max_attempts = 1 + config_.max_retries;
+  for (std::size_t r = 0; r < n; ++r) {
+    ++generated_;
+    // Front-door admission (overload.h): criticality-class shedding and the
+    // tenant's token bucket run before any replica is considered, so
+    // rejected requests cost nothing downstream.
+    if (admission_ != nullptr && !admission_->admit(admission_slot_, now)) {
+      ++rejected_;
+      continue;
+    }
+    ++admitted_;
+    if (!resolved) {  // where a per-request scan would first pull the view
+      resolve_live();
+      resolved = true;
+    }
+    if (live_.empty()) {
+      ++unroutable_;  // the fleet has no replica at all
+      continue;
+    }
+    // Every live breaker is asked once before any attempt: admits() promotes
+    // open → half-open.
+    int remaining = 0;
+    for (LiveReplica& member : live_) {
+      member.candidate = admits(*member.replica, now);
+      remaining += member.candidate ? 1 : 0;
+    }
+    if (remaining == 0) {
+      ++shed_;  // replicas exist but every breaker is open: protect them
+      continue;
+    }
+    // Brownout is sampled once per request: the whole request is served
+    // degraded or not, however many attempts it takes.
+    const bool degraded = admission_ != nullptr && admission_->brownout();
+    // Bounded retry: attempt the JSQ-best candidate (ties to the lowest
+    // rotation index), then the next-best on a refused injection, never
+    // re-trying a replica within one request. Every retry draws on the
+    // fleet-wide budget, so a failover cannot become a retry storm.
+    bool served = false;
+    for (int attempt = 0; attempt < max_attempts && remaining > 0; ++attempt) {
+      if (attempt > 0 && admission_ != nullptr && !admission_->allow_retry()) {
+        break;  // budget exhausted: give up instead of amplifying
+      }
+      LiveReplica* best = nullptr;
+      for (LiveReplica& member : live_) {
+        if (member.candidate && (best == nullptr || member.depth < best->depth)) {
+          best = &member;
+        }
+      }
+      ++attempts_;
+      retries_ += attempt > 0 ? 1 : 0;
+      served = best->sink->inject_request(now, costs[r], degraded);
+      if (served) {
+        ++best->depth;
+        record_success(*best->replica);
+        break;
+      }
+      record_failure(*best->replica, now);  // the refused queue is unchanged
+      best->candidate = false;
+      --remaining;
+    }
+    if (!served) {
+      ++dropped_;  // every allowed attempt was refused (or the budget ran dry)
+      continue;
+    }
+    ++routed_;
+    degraded_ += degraded ? 1 : 0;
+    if (admission_ != nullptr) {
+      admission_->on_success();
+    }
   }
 }
 
 void RequestRouter::tick(SimTime now, SimDuration dt) {
   accumulator_ += config_.arrivals_per_sec * static_cast<double>(dt) /
                   static_cast<double>(units::sec);
-  while (accumulator_ >= 1.0) {
+  std::size_t n = 0;
+  for (; accumulator_ >= 1.0; ++n) {
     accumulator_ -= 1.0;
-    route_one(now);
   }
+  tick_costs_.resize(std::max(n, tick_costs_.size()));  // 0 = service_cpu
+  inject_batch(now, tick_costs_.data(), n);
 }
 
 server::RequestStats RequestRouter::aggregate() const {

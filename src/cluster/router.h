@@ -81,14 +81,19 @@ class RequestRouter : public sim::TickComponent {
 
   /// Open-loop external injection (the workload engine's front door): one
   /// request arriving `now` with its own CPU cost (0 = the replica's default
-  /// service_cpu). Exactly the same disposition pipeline as self-generated
-  /// arrivals — retries, breakers, shed/unroutable accounting all apply.
-  void inject(SimTime now, CpuTime cost = 0) { route_one(now, cost); }
+  /// service_cpu). A batch of one, so retries, breakers and shed/unroutable
+  /// accounting all apply exactly as to self-generated arrivals.
+  void inject(SimTime now, CpuTime cost = 0) { inject_batch(now, &cost, 1); }
 
-  /// Batched per-tick injection: `costs[0..n)` requests all arriving `now`.
-  /// One fleet-snapshot pull serves the whole batch and the candidate
-  /// scratch is pooled, so the generator side stays O(n) with no per-request
-  /// allocation (the million-requests-per-sim-day fast path).
+  /// Batched injection: `costs[0..n)` requests all arriving `now`, routed in
+  /// order — the one routing path (inject() and tick() are batches too).
+  /// The live set (snapshot pull, sink lookup, queue depth) is resolved once,
+  /// at the batch's first admitted request, and JSQ reads the batch's depth
+  /// copies, bumped on each accepted injection. Exact: within a batch nothing
+  /// on the routing path mutates the cluster (admit/allow_retry/on_success
+  /// touch only controller counters; brownout() moves only in the
+  /// controller's tick) and a refusal leaves its queue as it was, so every
+  /// request sees what a per-request scan would see.
   void inject_batch(SimTime now, const CpuTime* costs, std::size_t n);
 
   /// Replicas currently enrolled (live or not; rotation never shrinks).
@@ -98,8 +103,9 @@ class RequestRouter : public sim::TickComponent {
     return replicas_.at(static_cast<std::size_t>(index)).pod;
   }
   /// Replicas the shared fleet snapshot shows running with a live sink — the
-  /// denominator of the overload controller's queue-pressure signal.
-  int live_replicas() const;
+  /// denominator of the overload controller's queue-pressure signal. Not
+  /// const: it resolves the live set the way a batch does.
+  int live_replicas();
 
   /// Bind the front-door overload controller (see overload.h): every
   /// generated request passes its admission gate, retries draw on its
@@ -152,8 +158,17 @@ class RequestRouter : public sim::TickComponent {
     SimTime open_until = 0;
   };
 
+  /// A live replica as one batch sees it (pointers valid for that batch).
+  struct LiveReplica {
+    Replica* replica = nullptr;
+    server::WorkerPoolServer* sink = nullptr;
+    std::size_t depth = 0;   ///< queue_depth(), kept current by the batch
+    bool candidate = false;  ///< still attemptable for the current request
+  };
+
   server::WorkerPoolServer* sink(int pod_id) const;
-  void route_one(SimTime now, CpuTime cost = 0);
+  /// Rebuild live_ from the fleet snapshot (rotation order).
+  void resolve_live();
   void record_success(Replica& replica);
   void record_failure(Replica& replica, SimTime now);
   /// Breaker gate for this attempt; promotes open → half-open when due.
@@ -164,9 +179,8 @@ class RequestRouter : public sim::TickComponent {
   AdmissionController* admission_ = nullptr;
   int admission_slot_ = -1;
   std::vector<Replica> replicas_;  ///< rotation order = add order
-  /// Candidate scratch reused across route_one calls (capacity persists, so
-  /// routing a request allocates nothing once the rotation is warm).
-  std::vector<std::size_t> candidates_;
+  std::vector<LiveReplica> live_;       ///< the current batch's live set
+  std::vector<CpuTime> tick_costs_;     ///< zeros for tick()'s arrivals
   double accumulator_ = 0;
   std::uint64_t generated_ = 0;
   std::uint64_t admitted_ = 0;

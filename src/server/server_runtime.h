@@ -22,7 +22,6 @@
 #include "src/container/container.h"
 #include "src/sched/fair_scheduler.h"
 #include "src/util/latency_histogram.h"
-#include "src/util/stats.h"
 #include "src/util/types.h"
 
 namespace arv::server {
@@ -45,7 +44,6 @@ struct RequestStats {
   /// response). A subset of arrived/completed, tracked here so the split
   /// survives archive/merge like drops do.
   std::uint64_t degraded = 0;
-  RunningStats latency_us;
   /// Per-request latency distribution. A bounded log-bucket sketch (<= 6.25%
   /// relative error, exact merge) instead of a raw sample vector: at the
   /// workload engine's millions-of-requests scale a full sample log is O(n)

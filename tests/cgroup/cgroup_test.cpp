@@ -140,6 +140,23 @@ TEST(CgroupTree, TotalSharesSumsNonRoot) {
   EXPECT_EQ(tree.total_shares(), 1024 + 2048);
 }
 
+TEST(CgroupTree, CpuSharesClampToKernelMax) {
+  // The kernel keeps at most 262144 shares; two cgroups at 2^62 would
+  // otherwise overflow the int64 total.
+  Tree tree(8);
+  const CgroupId a = tree.create("a");
+  const CgroupId b = tree.create("b");
+  tree.set_cpu_shares(a, std::int64_t{1} << 62);
+  tree.set_cpu_shares(b, std::int64_t{1} << 62);
+  EXPECT_EQ(tree.get(a).cpu().shares, kMaxCpuShares);
+  EXPECT_EQ(tree.get(b).cpu().shares, 262144);
+  EXPECT_EQ(tree.total_shares(), 2 * kMaxCpuShares);
+  tree.set_cpu_shares(a, kMaxCpuShares + 1);
+  EXPECT_EQ(tree.get(a).cpu().shares, kMaxCpuShares);
+  tree.set_cpu_shares(a, 2);
+  EXPECT_EQ(tree.total_shares(), 2 + kMaxCpuShares);
+}
+
 TEST(CgroupTree, TotalSharesStaysConsistentUnderChurn) {
   Tree tree(8);
   std::vector<CgroupId> ids;

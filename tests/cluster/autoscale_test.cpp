@@ -351,7 +351,7 @@ std::string run_autoscaled(bool skip_idle_hosts) {
   return arv::testing::without_skip_column(fleet.cluster().trace()->to_csv());
 }
 
-TEST(Autoscale, TracesAreByteIdenticalAcrossThreadCounts) {
+TEST(Autoscale, TracesAreByteIdenticalWithIdleSkipOnAndOff) {
   const std::string skipped = run_autoscaled(/*skip_idle_hosts=*/true);
   const std::string stepped = run_autoscaled(/*skip_idle_hosts=*/false);
   ASSERT_FALSE(skipped.empty());

@@ -233,7 +233,7 @@ EngineResult run_engine(bool skip_idle_hosts) {
   return result;
 }
 
-TEST(SloAccountant, EngineIsByteIdenticalAcrossThreadCounts) {
+TEST(SloAccountant, EngineIsByteIdenticalWithIdleSkipOnAndOff) {
   const EngineResult reference = run_engine(/*skip_idle_hosts=*/false);
   ASSERT_FALSE(reference.trace.empty());
   ASSERT_GT(reference.injected, 0u);

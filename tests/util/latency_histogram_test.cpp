@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -50,6 +51,21 @@ TEST(LatencyHistogram, BucketGeometryIsConsistent) {
     EXPECT_EQ(LatencyHistogram::bucket_upper(b) + 1,
               LatencyHistogram::bucket_lower(b + 1));
   }
+}
+
+TEST(LatencyHistogram, TopBucketEndsAtInt64Max) {
+  // The last bucket spans up to the largest int64; its upper bound must be
+  // computed without an intermediate signed overflow.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::size_t top = LatencyHistogram::kBucketCount - 1;
+  EXPECT_EQ(LatencyHistogram::bucket_of(kMax), top);
+  EXPECT_EQ(LatencyHistogram::bucket_upper(top), kMax);
+  EXPECT_EQ(LatencyHistogram::bucket_upper(top - 1) + 1,
+            LatencyHistogram::bucket_lower(top));
+  LatencyHistogram h;
+  h.record(kMax);
+  EXPECT_EQ(h.percentile(100.0), kMax);
+  EXPECT_EQ(h.max(), kMax);
 }
 
 TEST(LatencyHistogram, RelativeErrorIsBounded) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/container/container.h"
 #include "src/workloads/hogs.h"
 
@@ -171,6 +173,25 @@ TEST(VirtualSysfs, KnobWriteAcceptsSurroundingWhitespace) {
   ASSERT_TRUE(f.host.sysfs().write("/sys/fs/cgroup/cpu/web/cpu.cfs_quota_us",
                                    "\t400000 "));
   EXPECT_EQ(f.host.cgroups().get(c.cgroup()).cpu().cfs_quota_us, 400000);
+}
+
+TEST(VirtualSysfs, SharesWriteClampsToKernelMax) {
+  Fixture f;
+  container::ContainerConfig config;
+  config.name = "web";
+  auto& c = f.run(config);
+  config.name = "db";
+  f.run(config);
+  const std::int64_t before = f.host.cgroups().total_shares();
+  const std::string huge = std::to_string(std::int64_t{1} << 62);
+  ASSERT_TRUE(f.host.sysfs().write("/sys/fs/cgroup/cpu/web/cpu.shares", huge));
+  ASSERT_TRUE(f.host.sysfs().write("/sys/fs/cgroup/cpu/db/cpu.shares", huge));
+  EXPECT_EQ(f.host.sysfs().read(proc::kHostInit,
+                                "/sys/fs/cgroup/cpu/web/cpu.shares"),
+            "262144\n");
+  EXPECT_EQ(f.host.cgroups().get(c.cgroup()).cpu().shares, 262144);
+  EXPECT_EQ(f.host.cgroups().total_shares(),
+            before - 2 * 1024 + 2 * cgroup::kMaxCpuShares);
 }
 
 TEST(VirtualSysfs, CachedKnobFilesStayFreshAcrossWrites) {
