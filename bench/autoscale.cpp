@@ -36,7 +36,6 @@
 #include "src/cluster/pod_workloads.h"
 #include "src/cluster/router.h"
 #include "src/harness/scenario.h"
-#include "src/util/stats.h"
 
 namespace {
 

@@ -22,7 +22,6 @@
 
 #include "bench/common.h"
 #include "src/cluster/pod_workloads.h"
-#include "src/util/stats.h"
 
 namespace {
 

@@ -44,7 +44,6 @@
 #include "src/cluster/rebalancer.h"
 #include "src/cluster/router.h"
 #include "src/harness/scenario.h"
-#include "src/util/stats.h"
 
 namespace {
 

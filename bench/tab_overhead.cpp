@@ -125,7 +125,8 @@ void BM_CgroupKnobWrite(benchmark::State& state) {
 BENCHMARK(BM_CgroupKnobWrite);
 
 /// One simulated scheduler tick at increasing container counts — the cost
-/// of the whole fluid CFS model, for calibration.
+/// of the whole fluid CFS model, for calibration. The hogs' demand never
+/// changes, so every tick after the first reuses the memoised water-fill.
 void BM_SchedulerTick(benchmark::State& state) {
   OverheadFixture fixture(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -134,6 +135,35 @@ void BM_SchedulerTick(benchmark::State& state) {
   state.counters["containers"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_SchedulerTick)->Arg(1)->Arg(5)->Arg(20)->Arg(100)->Arg(1000);
+
+/// A consumer whose runnable thread count the benchmark sets between ticks.
+class ToggledLoad final : public sched::Schedulable {
+ public:
+  int runnable_threads() const override { return threads_; }
+  void consume(SimTime /*now*/, SimDuration /*dt*/, CpuTime /*grant*/) override {}
+  void set_threads(int threads) { threads_ = threads; }
+
+ private:
+  int threads_ = 0;
+};
+
+/// The same tick with one container's runnable count flipped every tick, so
+/// its demand changes and the water-fill runs each time: the memo-miss path.
+void BM_SchedulerTickPerturbed(benchmark::State& state) {
+  OverheadFixture fixture(static_cast<int>(state.range(0)));
+  ToggledLoad load;
+  const cgroup::CgroupId target = fixture.containers_[0]->cgroup();
+  fixture.host.scheduler().attach(target, &load);
+  int threads = 0;
+  for (auto _ : state) {
+    threads ^= 1;
+    load.set_threads(threads);
+    fixture.host.engine().step();
+  }
+  fixture.host.scheduler().detach(target, &load);
+  state.counters["containers"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_SchedulerTickPerturbed)->Arg(1)->Arg(5)->Arg(20)->Arg(100)->Arg(1000);
 
 /// The same tick with mixed shares, overlapping cpusets and quotas: the
 /// multi-round water-fill path.

@@ -82,6 +82,7 @@ void FairScheduler::refill_quota(Entity& entity, SimTime now) {
 }
 
 void FairScheduler::tick(SimTime now, SimDuration dt) {
+  claims_.swap(memo_claims_);  // the previous tick's claims become the memo
   claims_.clear();
   int runnable_total = 0;
 
@@ -119,7 +120,17 @@ void FairScheduler::tick(SimTime now, SimDuration dt) {
   nr_running_ = runnable_total;
   loadavg_.add(static_cast<double>(runnable_total));
 
-  water_fill(dt);
+  if (fill_memo_matches(dt)) {
+    ++fill_memo_hits_;
+    for (std::size_t index = 0; index < claims_.size(); ++index) {
+      claims_[index].alloc = memo_claims_[index].alloc;
+    }
+  } else {
+    ++fill_memo_misses_;
+    water_fill(dt);
+    memo_generation_ = tree_.cpu_generation();
+    memo_dt_ = dt;
+  }
 
   // --- accounting + delivery -----------------------------------------------
   CpuTime granted_total = 0;
@@ -155,6 +166,21 @@ void FairScheduler::add_weight(const Claim& claim, std::int64_t delta) {
       cpu_weight_[static_cast<std::size_t>(cpu)] += delta;
     }
   }
+}
+
+bool FairScheduler::fill_memo_matches(SimDuration dt) const {
+  if (memo_generation_ != tree_.cpu_generation() || memo_dt_ != dt ||
+      memo_claims_.size() != claims_.size()) {
+    return false;
+  }
+  for (std::size_t index = 0; index < claims_.size(); ++index) {
+    const Claim& current = claims_[index];
+    const Claim& previous = memo_claims_[index];
+    if (current.entity != previous.entity || current.demand != previous.demand) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // Per-CPU weighted water-filling. Each CPU pass offers the CPU's remaining
@@ -225,7 +251,8 @@ void FairScheduler::water_fill(SimDuration dt) {
 }
 
 // Split the grant across consumers proportionally to runnable threads,
-// remainder to the last consumer (deterministic).
+// remainder to the last consumer with runnable threads (deterministic), so
+// every granted microsecond is delivered.
 void FairScheduler::deliver(Entity& entity, int runnable, CpuTime grant,
                             SimTime now, SimDuration dt) {
   if (entity.consumers.size() == 1) {
@@ -237,16 +264,18 @@ void FairScheduler::deliver(Entity& entity, int runnable, CpuTime grant,
   }
   // Snapshot: consume() may detach.
   consumer_snapshot_.assign(entity.consumers.begin(), entity.consumers.end());
+  std::size_t last = consumer_snapshot_.size();
+  while (last > 0 && consumer_snapshot_[last - 1]->runnable_threads() <= 0) {
+    --last;
+  }
   CpuTime left = grant;
-  for (std::size_t k = 0; k < consumer_snapshot_.size(); ++k) {
+  for (std::size_t k = 0; k < last; ++k) {
     Schedulable* consumer = consumer_snapshot_[k];
     const int threads = consumer->runnable_threads();
     if (threads <= 0) {
       continue;
     }
-    CpuTime piece = k + 1 == consumer_snapshot_.size()
-                        ? left
-                        : grant * threads / std::max(1, runnable);
+    CpuTime piece = k + 1 == last ? left : grant * threads / std::max(1, runnable);
     piece = std::min(piece, left);
     left -= piece;
     consumer->consume(now, dt, piece);

@@ -25,6 +25,15 @@
 // pass; the floating-point operations and their order are those of a full
 // rescan, so results are bit-identical to it (tests/sched/water_fill_oracle_test
 // steps both in lockstep). Per-tick buffers are reused members.
+//
+// Most ticks repeat the previous tick's fill input, so the fill is memoised:
+// the last tick's claims are kept with their allocations, and a tick whose
+// key matches reuses those allocations instead of filling. The key is
+// Tree::cpu_generation() (every claim's mask and shares are cached as of it),
+// dt, and the ordered (entity, demand) list, demand compared as an exact
+// double. The fill is a pure function of exactly that and online_cpus_, so a
+// hit is bit-identical to filling again; the fraction carry, quota debit,
+// throttling, delivery, loadavg and slack run on every tick as before.
 #pragma once
 
 #include <cstdint>
@@ -126,6 +135,10 @@ class FairScheduler : public sim::TickComponent {
   /// loadavg) with the observability layer. Observation-only.
   void register_trace(obs::TraceRecorder& trace) const;
 
+  /// Ticks that reused the previous water-fill, and ticks that ran it.
+  std::uint64_t fill_memo_hits() const { return fill_memo_hits_; }
+  std::uint64_t fill_memo_misses() const { return fill_memo_misses_; }
+
  private:
   struct Entity {
     std::vector<Schedulable*> consumers;
@@ -160,6 +173,7 @@ class FairScheduler : public sim::TickComponent {
 
   void refresh_inputs(cgroup::CgroupId id, Entity& entity);
   void refill_quota(Entity& entity, SimTime now);
+  bool fill_memo_matches(SimDuration dt) const;
   void water_fill(SimDuration dt);
   void add_weight(const Claim& claim, std::int64_t delta);
   void deliver(Entity& entity, int runnable, CpuTime grant, SimTime now,
@@ -167,7 +181,9 @@ class FairScheduler : public sim::TickComponent {
 
   cgroup::Tree& tree_;
   int online_cpus_;
-  std::map<cgroup::CgroupId, Entity> entities_;  // ordered => deterministic
+  // Ordered => deterministic. Never erased, so Entity* is stable (the fill
+  // memo keys on it; erasing an entity would have to clear the memo).
+  std::map<cgroup::CgroupId, Entity> entities_;
   CpuTime total_slack_ = 0;
   CpuTime last_tick_slack_ = 0;
   int nr_running_ = 0;
@@ -184,6 +200,14 @@ class FairScheduler : public sim::TickComponent {
   /// Indices into claims_ of the hungry claims, in claim order.
   std::vector<std::size_t> hungry_;
   std::vector<Schedulable*> consumer_snapshot_;
+
+  // Fill memo: the previous tick's claims (with their allocations) and the
+  // generation and dt they were filled at. 0 never matches a generation.
+  std::vector<Claim> memo_claims_;
+  std::uint64_t memo_generation_ = 0;
+  SimDuration memo_dt_ = 0;
+  std::uint64_t fill_memo_hits_ = 0;
+  std::uint64_t fill_memo_misses_ = 0;
 };
 
 }  // namespace arv::sched

@@ -373,7 +373,7 @@ SweepResult run_sweep_fleet(bool skip_idle_hosts,
   return result;
 }
 
-TEST(FleetViewDeterminism, ByteIdenticalAcrossThreadCounts) {
+TEST(FleetViewDeterminism, ByteIdenticalWithIdleSkipOnAndOff) {
   const SweepResult stepped = run_sweep_fleet(/*skip_idle_hosts=*/false, false);
   ASSERT_FALSE(stepped.trace.empty());
   ASSERT_FALSE(stepped.hosts_render.empty());
@@ -407,7 +407,7 @@ TEST(FleetViewDeterminism, IncrementalRefreshEqualsFullRebuild) {
   EXPECT_GT(full.rows_reused, 0u);
 }
 
-TEST(FleetViewDeterminism, ChaosFleetsAreThreadInvariant) {
+TEST(FleetViewDeterminism, ChaosFleetsAreIdenticalWithIdleSkipOnAndOff) {
   const int iters = sweep_iterations();
   for (int i = 0; i < iters; ++i) {
     const std::uint64_t seed = 0xf1ee7u + static_cast<std::uint64_t>(i);

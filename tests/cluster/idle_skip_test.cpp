@@ -170,7 +170,7 @@ FleetResult run_fleet(const FleetOptions& options) {
 
 // --- the golden sweep -------------------------------------------------------
 
-TEST(ParallelDeterminism, GoldenFleetIsByteIdenticalAcrossThreadCounts) {
+TEST(IdleSkipDeterminism, GoldenFleetIsByteIdenticalWithIdleSkipOnAndOff) {
   FleetOptions options;
   options.skip_idle_hosts = false;
   const FleetResult reference = run_fleet(options);
@@ -179,7 +179,7 @@ TEST(ParallelDeterminism, GoldenFleetIsByteIdenticalAcrossThreadCounts) {
   expect_equal(reference, run_fleet(options));
 }
 
-TEST(ParallelDeterminism, RandomizedFleetsAndFaultPlansAreThreadInvariant) {
+TEST(IdleSkipDeterminism, RandomizedFleetsAndFaultPlansAreIdenticalWithIdleSkipOnAndOff) {
   const int iters = sweep_iterations();
   for (int i = 0; i < iters; ++i) {
     const std::uint64_t seed = 0x9a7a11e1u + static_cast<std::uint64_t>(i);
@@ -199,7 +199,7 @@ TEST(ParallelDeterminism, RandomizedFleetsAndFaultPlansAreThreadInvariant) {
 
 // --- the quiescence fast path -----------------------------------------------
 
-TEST(ParallelDeterminism, IdleHostSkipIsExact) {
+TEST(IdleSkipDeterminism, IdleHostSkipIsExact) {
   FleetOptions options;
   options.hosts = 12;
   options.busy_hosts = 2;
@@ -216,7 +216,7 @@ TEST(ParallelDeterminism, IdleHostSkipIsExact) {
   expect_equal(on, off);
 }
 
-TEST(ParallelDeterminism, AdvanceIdleMatchesTickByTickExactly) {
+TEST(IdleSkipDeterminism, AdvanceIdleMatchesTickByTickExactly) {
   container::HostConfig config;
   config.cpus = 8;
   config.ram = 16 * GiB;
@@ -267,7 +267,7 @@ class PhaseProbe final : public sim::TickComponent {
   std::uint64_t rounds_ = 0;
 };
 
-TEST(ParallelDeterminism, FaultsObserveFullySteppedHostsOnly) {
+TEST(IdleSkipDeterminism, FaultsObserveFullySteppedHostsOnly) {
   auto run = [](bool skip_idle_hosts) {
     ClusterConfig config;
     config.seed = 42;

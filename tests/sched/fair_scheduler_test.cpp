@@ -196,6 +196,27 @@ TEST(FairScheduler, MultipleConsumersSplitByThreads) {
   EXPECT_NEAR(ratio, 3.0, 0.05);
 }
 
+TEST(FairScheduler, SplitRemainderReachesARunnableConsumer) {
+  // A 1001 us grant split 1:1 leaves 1 us over. The last consumer in the list
+  // has no runnable threads, so the remainder must go to the one before it.
+  Fixture f(4);
+  const auto a = f.tree.create("a");
+  f.tree.set_cfs_quota(a, 1001);
+  FakeConsumer c1(1);
+  FakeConsumer c2(1);
+  FakeConsumer idle(0);
+  f.sched.attach(a, &c1);
+  f.sched.attach(a, &c2);
+  f.sched.attach(a, &idle);
+  run_ticks(f.engine, 1);
+  EXPECT_EQ(f.sched.total_usage(a), 1001);
+  EXPECT_EQ(c1.total(), 500);
+  EXPECT_EQ(c2.total(), 501);
+  EXPECT_EQ(idle.total(), 0);
+  run_ticks(f.engine, 300);  // three quota periods
+  EXPECT_EQ(f.sched.total_usage(a), c1.total() + c2.total() + idle.total());
+}
+
 TEST(FairScheduler, DetachStopsGrants) {
   Fixture f(2);
   const auto a = f.tree.create("a");

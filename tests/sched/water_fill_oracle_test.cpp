@@ -2,9 +2,10 @@
 // straightforward form of the same model: every tick it walks the cgroup
 // tree for every entity (effective cpuset, bandwidth, shares), then fills
 // each CPU with two passes over all claims (weight sum, then offers). The
-// real scheduler caches the tree's inputs by generation and keeps the weight
-// sums incrementally; both run in lockstep on twin trees with twin consumers
-// under randomized knob changes, and every observable must match with ==.
+// real scheduler caches the tree's inputs by generation, keeps the weight
+// sums incrementally and reuses the previous tick's fill when its input
+// repeats; both run in lockstep on twin trees with twin consumers under
+// randomized knob changes, and every observable must match with ==.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -143,16 +144,20 @@ class ReferenceScheduler {
       if (entity.quota_remaining != kUnlimited) {
         entity.quota_remaining = std::max<CpuTime>(0, entity.quota_remaining - grant);
       }
+      // The remainder goes to the last consumer with runnable threads.
       CpuTime left = grant;
       const auto consumers = entity.consumers;
-      for (std::size_t k = 0; k < consumers.size(); ++k) {
+      std::size_t last = consumers.size();
+      while (last > 0 && consumers[last - 1]->runnable_threads() <= 0) {
+        --last;
+      }
+      for (std::size_t k = 0; k < last; ++k) {
         const int threads = consumers[k]->runnable_threads();
         if (threads <= 0) {
           continue;
         }
-        CpuTime piece = k + 1 == consumers.size()
-                            ? left
-                            : grant * threads / std::max(1, claim.runnable);
+        CpuTime piece =
+            k + 1 == last ? left : grant * threads / std::max(1, claim.runnable);
         piece = std::min(piece, left);
         left -= piece;
         consumers[k]->consume(now, dt, piece);
@@ -237,12 +242,41 @@ class Lockstep {
   /// observable is compared.
   ::testing::AssertionResult step(SimTime now) {
     perturb();
-    real_.tick(now, kTick);
-    ref_.tick(now, kTick);
-    return compare();
+    return tick_and_compare(now);
+  }
+
+  /// The knob changes a steady script makes, one per tick at most.
+  enum class Change { kNone, kShares, kCpuset, kQuota, kAttach, kDetach };
+
+  /// One tick of a steady script: thread counts stay put and only `change`
+  /// is applied, so the ticks in between repeat the previous fill's input.
+  ::testing::AssertionResult step_steady(SimTime now, Change change) {
+    switch (change) {
+      case Change::kNone:
+        break;
+      case Change::kShares:
+        write_shares();
+        break;
+      case Change::kCpuset:
+        write_cpuset();
+        break;
+      case Change::kQuota:
+        write_quota();
+        break;
+      case Change::kAttach:
+        if (Leaf* leaf = random_live_leaf(); leaf != nullptr) {
+          attach_consumer(*leaf);
+        }
+        break;
+      case Change::kDetach:
+        detach_consumer();
+        break;
+    }
+    return tick_and_compare(now);
   }
 
   const ReferenceScheduler& reference() const { return ref_; }
+  const FairScheduler& scheduler() const { return real_; }
 
  private:
   static constexpr SimDuration kTick = 1 * msec;
@@ -254,6 +288,12 @@ class Lockstep {
     std::vector<std::unique_ptr<FakeConsumer>> real;
     std::vector<std::unique_ptr<FakeConsumer>> ref;
   };
+
+  ::testing::AssertionResult tick_and_compare(SimTime now) {
+    real_.tick(now, kTick);
+    ref_.tick(now, kTick);
+    return compare();
+  }
 
   cgroup::CgroupId create(const std::string& name, cgroup::CgroupId parent) {
     const auto id = real_tree_.create(name, parent);
@@ -352,13 +392,29 @@ class Lockstep {
     both([&](cgroup::Tree& t) { t.set_cpuset(leaf.id, mask); });
     const int consumers = static_cast<int>(rng_.uniform_int(1, 3));
     for (int c = 0; c < consumers; ++c) {
-      const int threads = static_cast<int>(rng_.uniform_int(0, cpus_ + 2));
-      leaf.real.push_back(std::make_unique<FakeConsumer>(threads));
-      leaf.ref.push_back(std::make_unique<FakeConsumer>(threads));
-      real_.attach(leaf.id, leaf.real.back().get());
-      ref_.attach(leaf.id, leaf.ref.back().get());
+      attach_consumer(leaf);
     }
     leaves_.push_back(std::move(leaf));
+  }
+
+  void attach_consumer(Leaf& leaf) {
+    const int threads = static_cast<int>(rng_.uniform_int(0, cpus_ + 2));
+    leaf.real.push_back(std::make_unique<FakeConsumer>(threads));
+    leaf.ref.push_back(std::make_unique<FakeConsumer>(threads));
+    real_.attach(leaf.id, leaf.real.back().get());
+    ref_.attach(leaf.id, leaf.ref.back().get());
+  }
+
+  /// Detaches and drops the newest consumer of a random live leaf.
+  void detach_consumer() {
+    Leaf* leaf = random_live_leaf();
+    if (leaf == nullptr || leaf->real.empty()) {
+      return;
+    }
+    real_.detach(leaf->id, leaf->real.back().get());
+    ref_.detach(leaf->id, leaf->ref.back().get());
+    leaf->real.pop_back();
+    leaf->ref.pop_back();
   }
 
   Leaf* random_live_leaf() {
@@ -394,16 +450,10 @@ class Lockstep {
       }
     }
     if (rng_.chance(0.05)) {
-      if (const auto id = random_target(); id >= 0) {
-        const auto shares = random_shares();
-        both([&](cgroup::Tree& t) { t.set_cpu_shares(id, shares); });
-      }
+      write_shares();
     }
     if (rng_.chance(0.05)) {
-      if (const auto id = random_target(); id >= 0) {
-        const auto quota = random_quota();
-        both([&](cgroup::Tree& t) { t.set_cfs_quota(id, quota); });
-      }
+      write_quota();
     }
     if (rng_.chance(0.03)) {
       if (const auto id = random_target(); id >= 0) {
@@ -412,15 +462,7 @@ class Lockstep {
       }
     }
     if (rng_.chance(0.05)) {
-      const auto id = random_target();
-      const auto pod = std::find(pods_.begin(), pods_.end(), id);
-      if (pod != pods_.end()) {
-        const CpuSet mask = pod_mask(id);
-        both([&](cgroup::Tree& t) { t.set_cpuset(id, mask); });
-      } else if (Leaf* leaf = random_live_leaf(); leaf != nullptr) {
-        const CpuSet mask = leaf_mask(*leaf);
-        both([&](cgroup::Tree& t) { t.set_cpuset(leaf->id, mask); });
-      }
+      write_cpuset();
     }
     if (rng_.chance(0.02)) {
       add_leaf();
@@ -437,6 +479,32 @@ class Lockstep {
         both([&](cgroup::Tree& t) { t.destroy(leaf->id); });
         leaf->alive = false;
       }
+    }
+  }
+
+  void write_shares() {
+    if (const auto id = random_target(); id >= 0) {
+      const auto shares = random_shares();
+      both([&](cgroup::Tree& t) { t.set_cpu_shares(id, shares); });
+    }
+  }
+
+  void write_quota() {
+    if (const auto id = random_target(); id >= 0) {
+      const auto quota = random_quota();
+      both([&](cgroup::Tree& t) { t.set_cfs_quota(id, quota); });
+    }
+  }
+
+  void write_cpuset() {
+    const auto id = random_target();
+    const auto pod = std::find(pods_.begin(), pods_.end(), id);
+    if (pod != pods_.end()) {
+      const CpuSet mask = pod_mask(id);
+      both([&](cgroup::Tree& t) { t.set_cpuset(id, mask); });
+    } else if (Leaf* leaf = random_live_leaf(); leaf != nullptr) {
+      const CpuSet mask = leaf_mask(*leaf);
+      both([&](cgroup::Tree& t) { t.set_cpuset(leaf->id, mask); });
     }
   }
 
@@ -532,6 +600,33 @@ TEST(WaterFillOracle, MatchesReferenceAcrossMaskWords) {
   for (const int cpus : {65, 130}) {
     const Coverage coverage = run_oracle(cpus, 200, 4, 200);
     EXPECT_GT(coverage.satisfied_mid_round, 0) << "cpus " << cpus;
+  }
+}
+
+TEST(WaterFillOracle, MemoMatchesReferenceThroughSteadyStretches) {
+  // Long stretches with nothing changing, broken by one change of each kind.
+  using Change = Lockstep::Change;
+  constexpr int kTicks = 1200;
+  const std::map<int, Change> script = {
+      {150, Change::kShares}, {350, Change::kCpuset}, {550, Change::kQuota},
+      {750, Change::kAttach}, {950, Change::kDetach}};
+  for (const int cpus : {4, 20}) {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    for (std::uint64_t seed = 300; seed < 316; ++seed) {
+      Lockstep world(cpus, seed);
+      for (int t = 1; t <= kTicks; ++t) {
+        const auto it = script.find(t);
+        const auto result =
+            world.step_steady(t * msec, it == script.end() ? Change::kNone : it->second);
+        ASSERT_TRUE(result) << "cpus " << cpus << " seed " << seed << " tick " << t
+                            << ": " << result.message();
+      }
+      hits += world.scheduler().fill_memo_hits();
+      misses += world.scheduler().fill_memo_misses();
+    }
+    EXPECT_GT(hits, 0u) << "cpus " << cpus;
+    EXPECT_GT(misses, 0u) << "cpus " << cpus;
   }
 }
 
